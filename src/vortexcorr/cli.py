@@ -21,6 +21,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -248,8 +249,6 @@ def cmd_correlation(params: dict) -> tuple[dict, int]:
                     f"configuration is not an equilibrium (residual {res:.6e} > 1e-06); "
                     "pass --allow-nonequilibrium for truncated estimates only",
                 )
-            from dataclasses import replace
-
             estimates = [
                 correlation_A_eps(config, replace(spec, epsilon=e)) for e in eps_values
             ]

@@ -230,12 +230,9 @@ def correlation_A_eps(
     )
     r2 = spec.cutoff_radius * spec.cutoff_radius
     tail = math.pi * (sum(d) ** 4 - sum(x**4 for x in d)) / r2
-    tail_budget = (
-        10.0 * sum(abs(x) for x in d) ** 4 * config.diameter / spec.cutoff_radius**3
-    )
     return QuadratureResult(
         value=raw.real + tail,
-        abs_error_estimate=err + tail_budget,
+        abs_error_estimate=err + _far_field_budget(config, spec.cutoff_radius),
         tail_correction=tail,
         cells_used=cells,
         converged=converged,

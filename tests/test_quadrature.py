@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from vortexcorr.correlation import pair_integral
 from vortexcorr.quadrature import (
     DiskExcision,
     QuadratureResult,
@@ -51,17 +52,27 @@ def test_smooth_step_shape():
 
 def test_area_with_excisions():
     # the partition of unity must reproduce plain areas exactly
-    excisions = [
+    two = [
         DiskExcision(0j, 0.1, 0.25, 0.45),
         DiskExcision(1 + 0j, 0.1, 0.25, 0.45),
     ]
-    value, err, cells, converged = integrate_excised_disk(
-        lambda z: np.ones_like(z.real), excisions, 10.0, 1e-8, 10**6
-    )
-    exact = math.pi * (100.0 - 2 * 0.01)
-    assert converged
-    assert abs(value.real - exact) < 1e-7
-    assert abs(value.imag) == 0.0
+    # ten holes: a 3x3 grid whose supports are 0.02 apart, plus one more;
+    # their supports straddle the background's radial breakpoints
+    # (0.467, 0.5, 0.707, 0.74, ...) that the neighbouring holes put there
+    ten = [
+        DiskExcision(complex(0.5 * i, 0.5 * j), 0.05, 0.12, 0.24)
+        for i in (-1, 0, 1)
+        for j in (-1, 0, 1)
+    ]
+    ten.append(DiskExcision(1.2 + 0.4j, 0.03, 0.08, 0.2))
+    for excisions, radius, target in ((two, 10.0, 1e-8), (ten, 4.0, 1e-7)):
+        value, err, cells, converged = integrate_excised_disk(
+            lambda z: np.ones_like(z.real), excisions, radius, target, 10**6
+        )
+        exact = math.pi * (radius**2 - sum(e.radius**2 for e in excisions))
+        assert converged
+        assert abs(value.real - exact) < 1e-7
+        assert value.imag == 0.0
 
 
 def test_gaussian_over_disk():
@@ -116,3 +127,59 @@ def test_bit_identical_repeat_runs():
     first = integrate_excised_disk(f, excisions, 5.0, 1e-7, 10**6)
     second = integrate_excised_disk(f, excisions, 5.0, 1e-7, 10**6)
     assert first == second
+
+
+def test_bit_exact_golden_values():
+    # float.hex of (value, error, cells) pinned from the single-cell estimator;
+    # any change to nodes, weights, hole cutoffs, reductions or refinement
+    # order shows up here
+    def f(z):
+        return np.exp(-0.25 * (z.real**2 + z.imag**2)) * (1.0 + z) / (z - 3.0 - 2.0j)
+
+    excisions = [
+        DiskExcision(0j, 0.05, 0.1, 0.3),
+        DiskExcision(0.8 + 0.3j, 0.05, 0.12, 0.35),
+        DiskExcision(-0.6 + 0.9j, 0.04, 0.1, 0.25),
+    ]
+    value, err, cells, converged = integrate_excised_disk(f, excisions, 6.0, 1e-6, 10**5)
+    assert (value.real.hex(), value.imag.hex(), err.hex(), cells, converged) == (
+        "-0x1.25d4a03dd08e4p+1",
+        "0x1.db17935ea4f70p+0",
+        "0x1.07fa8574856fcp-20",
+        996,
+        True,
+    )
+
+    res = pair_integral(
+        0.2j,
+        1.0 + 0.5j,
+        0.1,
+        QuadratureSpec(epsilon=0.1, cutoff_radius=20.0, target_abs_error=1e-4),
+    )
+    assert (
+        res.value.hex(),
+        res.abs_error_estimate.hex(),
+        res.tail_correction.hex(),
+        res.cells_used,
+        res.converged,
+    ) == (
+        "0x1.ceea252c00000p-24",
+        "0x1.c3f2753b933a7p-9",
+        "0x1.010234cd02041p-7",
+        296,
+        True,
+    )
+
+    value, err, cells, converged = integrate_disk(
+        lambda z: (1.0 + 1j * z.real) / (1.0 + 16.0 * np.abs(z - 0.5) ** 2),
+        0.3j,
+        2.0,
+        1e-11,
+    )
+    assert (value.real.hex(), value.imag.hex(), err.hex(), cells, converged) == (
+        "0x1.9b05b41126873p-1",
+        "0x1.382d377407954p-2",
+        "0x1.025ac0e49b6bdp-37",
+        80,
+        True,
+    )
