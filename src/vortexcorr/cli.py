@@ -21,7 +21,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -33,7 +32,6 @@ from .core import (
     residual,
 )
 from .correlation import (
-    correlation_A_eps,
     correlation_limit,
     default_epsilon_list,
     moebius_params,
@@ -241,41 +239,33 @@ def cmd_correlation(params: dict) -> tuple[dict, int]:
     if label is not None:
         payload["label"] = label
 
+    equilibrium = res <= 1e-6
+    if not (equilibrium or allow):
+        raise CliFailure(
+            EXIT_INVARIANT,
+            f"configuration is not an equilibrium (residual {res:.6e} > 1e-06); "
+            "pass --allow-nonequilibrium for truncated estimates only",
+        )
     try:
-        if res > 1e-6:
-            if not allow:
-                raise CliFailure(
-                    EXIT_INVARIANT,
-                    f"configuration is not an equilibrium (residual {res:.6e} > 1e-06); "
-                    "pass --allow-nonequilibrium for truncated estimates only",
-                )
-            estimates = [
-                correlation_A_eps(config, replace(spec, epsilon=e)) for e in eps_values
-            ]
-            payload["estimates"] = [
-                _estimate_payload(e, est) for e, est in zip(eps_values, estimates)
-            ]
-            payload["extrapolated_limit"] = None
-            payload["extrapolation_error"] = None
-            payload["fit_degenerate"] = None
-            payload["note"] = (
-                "extrapolation suppressed: the input is not an equilibrium, so "
-                "only truncated finite-(eps, R) values are reported"
-            )
-            converged_all = all(est.converged for est in estimates)
-        else:
-            report = correlation_limit(config, eps_values, spec)
-            payload["estimates"] = [
-                _estimate_payload(e, est)
-                for e, est in zip(report.epsilons, report.estimates)
-            ]
-            payload["extrapolated_limit"] = report.extrapolated_limit
-            payload["extrapolation_error"] = report.extrapolation_error
-            payload["fit_degenerate"] = report.fit_degenerate
-            converged_all = all(est.converged for est in report.estimates)
+        report = correlation_limit(config, eps_values, spec)
     except ValueError as exc:
         raise CliFailure(EXIT_USAGE, str(exc)) from exc
-
+    payload["estimates"] = [
+        _estimate_payload(e, est) for e, est in zip(report.epsilons, report.estimates)
+    ]
+    if equilibrium:
+        payload["extrapolated_limit"] = report.extrapolated_limit
+        payload["extrapolation_error"] = report.extrapolation_error
+        payload["fit_degenerate"] = report.fit_degenerate
+    else:
+        payload["extrapolated_limit"] = None
+        payload["extrapolation_error"] = None
+        payload["fit_degenerate"] = None
+        payload["note"] = (
+            "extrapolation suppressed: the input is not an equilibrium, so "
+            "only truncated finite-(eps, R) values are reported"
+        )
+    converged_all = all(est.converged for est in report.estimates)
     payload["budget_exhausted"] = not converged_all
     return payload, (EXIT_OK if converged_all else EXIT_NONCONVERGENCE)
 
@@ -540,6 +530,13 @@ def _run_replay(manifest_path: str) -> int:
         print("replay: results reproduce bit-exactly", file=sys.stderr)
         return code
     print("replay: results DIFFER from the manifest", file=sys.stderr)
+    recorded_version = data.get("tool_version", "an unknown version")
+    if recorded_version != _TOOL_VERSION:
+        print(
+            f"replay: the manifest was written by {recorded_version}, this is "
+            f"{_TOOL_VERSION}; results are bit-exact only within a version",
+            file=sys.stderr,
+        )
     return 1
 
 

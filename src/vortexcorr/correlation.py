@@ -7,6 +7,22 @@ equilibrium that limit is zero, which this module reproduces numerically:
 truncate to a large disk ``B_R``, integrate adaptively, add the analytic
 far-field tail, and extrapolate a short list of shrinking ``eps`` values.
 
+:func:`correlation_limit` integrates the eps-independent part once.  One
+excised-disk run gives ``A_eps`` at the largest ``eps_1``; every smaller
+``eps_i`` adds the rings ``eps_i < |z - a_k| < eps_1``, integrated together
+in one adaptive run with a polar region per vortex.  This is exact, not an
+approximation: each ring lies inside the cutoff plateau of the ``eps_1``
+excision (``plateau >= 1.05 eps_1``), where the main run's integrand is
+identically zero, and the rings are disjoint because ``eps_1`` is below
+half the minimum separation.  So
+``A_eps_i = A_eps_1 + sum_k ring_k(eps_i, eps_1)``.  Estimate ``i`` reports
+the cells its value rests on -- the main run's, which every estimate
+shares, plus its own ring's -- and the sum of the two adaptive errors.
+Because the main run's error is common to every estimate it cancels in
+differences and passes through the extrapolation once (the Lagrange weights
+sum to one), like the far-field budget; only the ring errors are
+independent noise, amplified by the extrapolation weights.
+
 The two-disk identity -- the integral of
 ``1/(conj(z-p)^2 (z-q)^2)`` over the plane minus eps-disks at ``p`` and
 ``q`` vanishes -- is checked by direct quadrature in :func:`pair_integral`,
@@ -28,6 +44,7 @@ from .quadrature import (
     DiskExcision,
     QuadratureResult,
     QuadratureSpec,
+    _integrate_annuli,
     integrate_excised_disk,
 )
 
@@ -198,6 +215,15 @@ def _validate_radius(config: VortexConfiguration, spec: QuadratureSpec) -> None:
         )
 
 
+def _validate_excision(config: VortexConfiguration, spec: QuadratureSpec) -> None:
+    if not spec.epsilon < 0.5 * config.min_separation:
+        raise ValueError(
+            f"epsilon {spec.epsilon} must be below half the minimum pairwise "
+            f"distance {0.5 * config.min_separation}; the excised disks overlap"
+        )
+    _validate_radius(config, spec)
+
+
 def correlation_A_eps(
     config: VortexConfiguration, spec: QuadratureSpec
 ) -> QuadratureResult:
@@ -214,12 +240,7 @@ def correlation_A_eps(
         return QuadratureResult(
             value=0.0, abs_error_estimate=0.0, tail_correction=0.0, cells_used=0
         )
-    if not spec.epsilon < 0.5 * config.min_separation:
-        raise ValueError(
-            f"epsilon {spec.epsilon} must be below half the minimum pairwise "
-            f"distance {0.5 * config.min_separation}; the excised disks overlap"
-        )
-    _validate_radius(config, spec)
+    _validate_excision(config, spec)
     excisions = _excisions_for(config.positions, spec.epsilon)
 
     def f(zs: np.ndarray) -> np.ndarray:
@@ -301,6 +322,9 @@ def cross_pair_truncated(
 class CorrelationReport:
     """A_eps estimates over a shrinking eps-list with an extrapolated limit.
 
+    Every estimate after the first shares the first one's excised-disk run:
+    its ``cells_used`` counts those shared cells plus its own ring cells.
+
     ``order_estimate`` is the empirical decay order fitted from the ratio
     of successive differences.  ``fit_degenerate`` is set when the
     estimates do not support extrapolation -- differences below quadrature
@@ -355,6 +379,14 @@ def correlation_limit(
 ) -> CorrelationReport:
     """Estimate ``lim A_eps`` from estimates over a shrinking eps-list.
 
+    One excised-disk run gives ``A_eps`` at the largest ``eps_1``; every
+    smaller ``eps_i`` adds the rings ``eps_i < |z - a_k| < eps_1``, which are
+    integrated together in one adaptive run (see the module docstring).
+    The rings run first at half of ``spec.target_abs_error``; the main run
+    then gets the target minus the largest ring error, so every estimate's
+    adaptive error stays within the target.  Its cell budget is
+    ``spec.max_cells`` minus the largest ring's cells.
+
     At an equilibrium the excision dependence expands in even powers of
     ``eps``: each removed disk subtracts disk integrals of functions that
     are smooth there, and the two singular disks of every ordered pair
@@ -362,11 +394,13 @@ def correlation_limit(
     limit is therefore obtained by Richardson extrapolation in
     ``x = eps^2`` through the last (up to three) estimates.
 
-    The empirical decay order from the ratio of successive differences is
-    reported as a diagnostic; when the differences fail to contract (as for
-    non-equilibria, where the truncated values grow like ``log(1/eps)``) or
-    sit below three times the quadrature noise, the fit is flagged
-    degenerate and the last estimate is reported unchanged.
+    The main run's error enters the extrapolation error once and the ring
+    errors are amplified by the Lagrange weights (see the module
+    docstring).  The empirical decay order from the ratio of successive
+    differences is reported as a diagnostic; when the differences fail to
+    contract (as for non-equilibria, where the truncated values grow like
+    ``log(1/eps)``) or sit below three times the ring noise, the fit is
+    flagged degenerate and the last estimate is reported unchanged.
     """
     eps = [float(e) for e in epsilons]
     if len(eps) < 2:
@@ -374,14 +408,47 @@ def correlation_limit(
     for a, b in zip(eps, eps[1:]):
         if not b < a:
             raise ValueError("epsilons must be strictly decreasing")
-    estimates = tuple(
-        correlation_A_eps(config, replace(spec, epsilon=e)) for e in eps
+    if not eps[-1] > 0.0:
+        raise ValueError("epsilons must be positive")
+    target = spec.target_abs_error
+    # a single vortex has no rings to integrate: every estimate is exactly 0
+    rings = [(0j, 0.0, 0, True)] * (len(eps) - 1)
+    main_spec = replace(spec, epsilon=eps[0])
+    if len(config) > 1:
+        _validate_excision(config, main_spec)
+
+        def f(zs: np.ndarray) -> np.ndarray:
+            return integrand_values(config, zs)
+
+        rings = [
+            _integrate_annuli(f, config.positions, e, eps[0], 0.5 * target, spec.max_cells)
+            for e in eps[1:]
+        ]
+        # a ring that missed its half of the target is flagged unconverged;
+        # the main run still keeps at least the other half
+        worst = max(err for _, err, _, _ in rings)
+        main_spec = replace(
+            main_spec,
+            target_abs_error=target - min(worst, 0.5 * target),
+            max_cells=max(spec.max_cells - max(cells for _, _, cells, _ in rings), 1),
+        )
+    main = correlation_A_eps(config, main_spec)
+    estimates = (main,) + tuple(
+        QuadratureResult(
+            value=main.value + raw.real,
+            abs_error_estimate=main.abs_error_estimate + err,
+            tail_correction=main.tail_correction,
+            cells_used=main.cells_used + cells,
+            converged=main.converged and converged,
+        )
+        for raw, err, cells, converged in rings
     )
     values = [est.value for est in estimates]
-    # the conservative far-field budget is systematic and identical across
-    # the eps-list; only the adaptive part acts as noise on differences
+    # the conservative far-field budget and the main run's error are shared
+    # by every estimate; only the ring errors act as noise on differences
     tail_budget = _far_field_budget(config, spec.cutoff_radius)
-    noises = [max(est.abs_error_estimate - tail_budget, 0.0) for est in estimates]
+    shared = max(main.abs_error_estimate - tail_budget, 0.0)
+    noises = [0.0] + [err for _, err, _, _ in rings]
 
     use = min(3, len(eps))
     xs = [e * e for e in eps[-use:]]
@@ -419,7 +486,9 @@ def correlation_limit(
         model_spread = abs(limit - shallow)
     else:
         model_spread = abs(limit - values[-1]) * (xs[-1] / xs[-2])
-    extrap_error = tail_budget + amplification * max(noises[-use:], default=0.0) + model_spread
+    extrap_error = (
+        tail_budget + shared + amplification * max(noises[-use:]) + model_spread
+    )
     return CorrelationReport(
         epsilons=tuple(eps),
         estimates=estimates,

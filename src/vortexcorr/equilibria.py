@@ -466,10 +466,20 @@ def refine_equilibrium(
 
     Newton steps solve the least-squares system for the full force vector
     (2N real equations) over the free coordinates (2 |free| unknowns) via an
-    SVD with singular values below ``1e-10`` of the largest truncated; that
-    removes the translation/rotation/scaling near-null space when all
-    positions are free, without pinning any vortex.  A backtracking line
-    search only accepts steps that strictly decrease the residual.
+    SVD with singular values below ``1e-10`` of the largest truncated; the
+    minimum-norm step leaves out the translations, which never change the
+    forces.  A backtracking line search only accepts steps that strictly
+    decrease the residual.
+
+    The SVD does not fix the scale.  The forces are homogeneous of degree
+    -1, so ``J a = -f`` exactly: when at most one vortex is pinned, the
+    dilation ``a -> 2a`` about the centroid (or about the pinned vortex)
+    solves the Newton system, and the least-squares step is close to it.
+    Each step then halves every force while the configuration doubles, so
+    the residual can fall below the tolerance far from any equilibrium
+    (Adler-Moser n=3 perturbed by ``1e-3`` of its minimum separation, all
+    vortices free: 31 iterations, diameter 3.15 -> 6.8e9, residual times
+    ``min_separation`` still 1.6e-3).  Pinning two vortices fixes the scale.
 
     Circulations never change.  On non-convergence the best iterate is
     returned with ``converged=False`` and a diagnostic message.

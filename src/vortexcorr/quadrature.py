@@ -392,6 +392,31 @@ def integrate_excised_disk(
     return _adaptive(f, regions, cells, target_abs_error, max_cells)
 
 
+def _integrate_annuli(
+    f: Callable[[np.ndarray], np.ndarray],
+    centers: Sequence[complex],
+    inner: float,
+    outer: float,
+    target_abs_error: float,
+    max_cells: int,
+) -> tuple[complex, float, int, bool]:
+    """Integrate ``f`` over the annuli ``inner < |z - c| < outer`` about every
+    centre, in one adaptive run with a polar region per centre.
+
+    The caller keeps the annuli disjoint; no partition of unity is involved.
+    """
+    regions = [_Region(center=complex(c)) for c in centers]
+    radial = _geometric_edges(inner, outer)
+    dt = 2.0 * math.pi / 8
+    cells = [
+        (idx, (a, b, i * dt, (i + 1) * dt))
+        for idx in range(len(regions))
+        for a, b in zip(radial[:-1], radial[1:])
+        for i in range(8)
+    ]
+    return _adaptive(f, regions, cells, target_abs_error, max_cells)
+
+
 def integrate_disk(
     f: Callable[[np.ndarray], np.ndarray],
     center: complex,

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from vortexcorr import VortexConfiguration, energy, residual
+from vortexcorr import VortexConfiguration, __version__, energy, residual
 from vortexcorr.cli import main
 
 
@@ -385,6 +385,39 @@ def test_manifest_replay_detects_mismatch(capsys, collinear_file, tmp_path):
     code, out, err = run_cli(capsys, "replay", str(manifest))
     assert code == 1
     assert "DIFFER" in err
+
+
+def test_replay_across_versions_says_so(capsys, collinear_file, tmp_path):
+    manifest = tmp_path / "run.json"
+    run_cli(
+        capsys,
+        "correlation",
+        collinear_file,
+        "--eps-list",
+        "0.2,0.1",
+        "--radius",
+        "20",
+        "--target-error",
+        "1e-3",
+        "--manifest",
+        str(manifest),
+    )
+    stored = json.loads(manifest.read_text())
+    stored["results"]["estimates"][1]["value"] += 1e-9
+    manifest.write_text(json.dumps(stored))
+    code, _, err = run_cli(capsys, "replay", str(manifest))
+    assert code == 1
+    assert "DIFFER" in err
+    assert "within a version" not in err
+
+    stored["tool_version"] = "vortexcorr 0.1.0"
+    manifest.write_text(json.dumps(stored))
+    code, _, err = run_cli(capsys, "replay", str(manifest))
+    assert code == 1
+    assert "DIFFER" in err
+    assert "vortexcorr 0.1.0" in err
+    assert f"vortexcorr {__version__}" in err
+    assert "bit-exact only within a version" in err
 
 
 def test_repeated_cli_runs_are_bit_identical(capsys, collinear_file):

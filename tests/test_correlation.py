@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from vortexcorr import (
     pair_integral,
     transform,
 )
-from vortexcorr.correlation import _excisions_for
+from vortexcorr.correlation import _excisions_for, _far_field_budget
 from vortexcorr.quadrature import integrate_disk, integrate_excised_disk
 
 
@@ -320,6 +321,62 @@ def test_correlation_limit_validates_epsilons():
         correlation_limit(collinear_triple(), [0.2], spec)
     with pytest.raises(ValueError):
         correlation_limit(collinear_triple(), [0.1, 0.2], spec)
+
+
+# ------------------------------------------------- shared-eps estimates
+
+SHARED_CONFIGS = {
+    "collinear": collinear_triple(),
+    "cube_roots": config_from_adler_moser(adler_moser_chain(2, [-1.0])),
+    "nonequilibrium": VortexConfiguration.from_pairs(
+        [(-1.0, 1.0), (0.05j, -0.5), (1.0, 1.0)]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_CONFIGS))
+def test_shared_estimates_match_independent_runs(name):
+    # every estimate below eps_1 is the eps_1 run plus its rings; an
+    # independent excised-disk run at that eps must agree within the errors
+    config = SHARED_CONFIGS[name]
+    spec = QuadratureSpec(0.2, 25.0, 1e-4)
+    report = correlation_limit(config, [0.2, 0.1, 0.05], spec)
+    for eps, est in zip(report.epsilons[1:], report.estimates[1:]):
+        alone = correlation_A_eps(config, replace(spec, epsilon=eps))
+        assert abs(est.value - alone.value) <= (
+            est.abs_error_estimate + alone.abs_error_estimate
+        )
+
+
+@pytest.mark.parametrize("max_cells", [1_000, 2_000_000])
+@pytest.mark.parametrize("name", sorted(SHARED_CONFIGS))
+def test_shared_estimates_keep_target_and_budget(name, max_cells):
+    config = SHARED_CONFIGS[name]
+    spec = QuadratureSpec(0.2, 25.0, 1e-6, max_cells)
+    report = correlation_limit(config, [0.2, 0.1, 0.05], spec)
+    tail_budget = _far_field_budget(config, spec.cutoff_radius)
+    for est in report.estimates:
+        assert est.cells_used <= spec.max_cells
+        if est.converged:
+            # the slack covers rounding in the error sums, not the method
+            adaptive = est.abs_error_estimate - tail_budget
+            assert adaptive <= spec.target_abs_error * (1.0 + 1e-12)
+    # the main run's cells are shared: later estimates only add ring cells
+    cells = [est.cells_used for est in report.estimates]
+    assert cells == sorted(cells)
+    assert all(est.converged for est in report.estimates) == (max_cells > 1_000)
+
+
+def test_shared_error_counted_once():
+    # with three independent per-eps runs (version 0.1.0) the error bar was
+    # 5.2044e-4; counting the shared main-run error once must not widen it
+    config = collinear_triple()
+    report = correlation_limit(
+        config, default_epsilon_list(config), default_quadrature_spec(config)
+    )
+    assert not report.fit_degenerate
+    assert report.extrapolation_error <= 5.2044e-4
+    assert abs(report.extrapolated_limit) <= report.extrapolation_error
 
 
 def test_report_invariants():

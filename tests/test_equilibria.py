@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -263,6 +264,25 @@ def test_refine_all_free_with_gauge_fixing(rng):
     assert out.converged
     assert out.residual < 1e-12
     assert out.iterations >= 1
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="forces are homogeneous of degree -1, so J a = -f and the "
+    "least-squares step is nearly a x2 dilation: the residual halves while "
+    "the configuration grows without bound",
+)
+def test_refine_all_free_keeps_scale():
+    base = config_from_adler_moser(adler_moser_chain(3, [1.0, 1.0]))
+    step = 1e-3 * base.min_separation
+    pattern = random.Random(0)
+    perturbed = VortexConfiguration.from_pairs(
+        (v.position + step * cmath.exp(2j * math.pi * pattern.random()), v.circulation)
+        for v in base.vortices
+    )
+    out = refine_equilibrium(perturbed, free=range(len(perturbed)))
+    assert out.residual < 1e-12
+    assert out.configuration.diameter == pytest.approx(base.diameter, rel=0.01)
 
 
 def test_refine_respects_iteration_cap():
