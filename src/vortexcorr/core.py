@@ -6,6 +6,16 @@ ordered pairs ``j != k``, so every unordered pair is counted twice.  Under
 that convention the energy gradient with respect to the j-th position is
 ``-2 * conj(f_j)`` where ``f_j`` is the force returned by :func:`force`.
 
+Every pair quantity reads one cached, read-only table per configuration:
+the N x N differences ``a_j - a_k`` and the distances derived from them.
+Validation, ``diameter``, ``min_separation``, :func:`energy`, :func:`forces`
+and the Newton Jacobian in :mod:`vortexcorr.equilibria` all use it.
+Distances are ``np.hypot(re, im)``, which rounds exactly like Python's
+complex ``abs`` (``np.abs`` does not), so every radius derived from them
+keeps its bits.  The energy and each force are compensated sums
+(``math.fsum``) of their pair terms, so their bits do not depend on the
+order of the vortices.
+
 Everything here is an immutable value or a pure function; concurrent use
 needs no synchronisation.
 """
@@ -17,6 +27,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
+
+import numpy as np
 
 __all__ = [
     "CIRCULATION_FLOOR",
@@ -45,10 +57,6 @@ SEPARATION_FLOOR_SCALE = 1e-9
 
 class ConfigurationError(ValueError):
     """A vortex configuration violates one of its invariants."""
-
-
-def _abs2(w: complex) -> float:
-    return w.real * w.real + w.imag * w.imag
 
 
 @dataclass(frozen=True)
@@ -89,15 +97,13 @@ class VortexConfiguration:
                     f"|d| must be at least {CIRCULATION_FLOOR}"
                 )
         floor = SEPARATION_FLOOR_SCALE * (1.0 + self.diameter)
-        n = len(self.vortices)
-        for j in range(n):
-            for k in range(j + 1, n):
-                sep = abs(self.vortices[j].position - self.vortices[k].position)
-                if sep < floor:
-                    raise ConfigurationError(
-                        f"vortices {j} and {k} are separated by {sep:.3e}, "
-                        f"below the floor {floor:.3e}"
-                    )
+        close = np.argwhere(np.triu(self._distances < floor, 1))
+        if len(close):
+            j, k = close[0]  # the first pair in row-major (j < k) order
+            raise ConfigurationError(
+                f"vortices {j} and {k} are separated by "
+                f"{self._distances[j, k]:.3e}, below the floor {floor:.3e}"
+            )
 
     @classmethod
     def from_pairs(
@@ -125,24 +131,31 @@ class VortexConfiguration:
         return tuple(v.circulation for v in self.vortices)
 
     @cached_property
+    def _differences(self) -> np.ndarray:
+        """The pairwise table ``a_j - a_k`` (N x N complex, zero diagonal)."""
+        pos = np.array(self.positions, dtype=np.complex128)
+        table = pos[:, None] - pos[None, :]
+        table.flags.writeable = False
+        return table
+
+    @cached_property
+    def _distances(self) -> np.ndarray:
+        """``|a_j - a_k|``, rounded as Python's complex ``abs`` rounds."""
+        diff = self._differences
+        table = np.hypot(diff.real, diff.imag)
+        table.flags.writeable = False
+        return table
+
+    @cached_property
     def diameter(self) -> float:
         """Largest pairwise distance (0 for a single vortex)."""
-        pos = [v.position for v in self.vortices]
-        best = 0.0
-        for j in range(len(pos)):
-            for k in range(j + 1, len(pos)):
-                best = max(best, abs(pos[j] - pos[k]))
-        return best
+        return float(self._distances.max())
 
     @cached_property
     def min_separation(self) -> float:
         """Smallest pairwise distance (``inf`` for a single vortex)."""
-        pos = [v.position for v in self.vortices]
-        best = math.inf
-        for j in range(len(pos)):
-            for k in range(j + 1, len(pos)):
-                best = min(best, abs(pos[j] - pos[k]))
-        return best
+        upper = np.triu_indices(len(self), 1)
+        return float(self._distances[upper].min(initial=math.inf))
 
 
 @dataclass(frozen=True)
@@ -172,15 +185,11 @@ def energy(config: VortexConfiguration) -> float:
     are accumulated with exact (compensated) summation, so the result does
     not depend on vortex ordering beyond rounding of the individual terms.
     """
-    pos = config.positions
-    circ = config.circulations
-    n = len(pos)
-    terms = []
-    for j in range(n):
-        for k in range(j + 1, n):
-            # 2 * d_j d_k * log(1/|diff|) == -d_j d_k * log(|diff|^2)
-            terms.append(-circ[j] * circ[k] * math.log(_abs2(pos[j] - pos[k])))
-    return math.fsum(terms)
+    d = np.asarray(config.circulations)
+    j, k = np.triu_indices(len(config), 1)
+    w = config._differences[j, k]
+    # 2 * d_j d_k * log(1/|diff|) == -d_j d_k * log(|diff|^2)
+    return math.fsum(-(d[j] * d[k]) * np.log(w.real * w.real + w.imag * w.imag))
 
 
 def force(config: VortexConfiguration, j: int) -> complex:
@@ -188,22 +197,16 @@ def force(config: VortexConfiguration, j: int) -> complex:
     n = len(config)
     if not 0 <= j < n:
         raise IndexError(f"vortex index {j} out of range for {n} vortices")
-    pos = config.positions
-    circ = config.circulations
-    re_terms = []
-    im_terms = []
-    for k in range(n):
-        if k == j:
-            continue
-        term = circ[j] * circ[k] / (pos[j] - pos[k])
-        re_terms.append(term.real)
-        im_terms.append(term.imag)
-    return complex(math.fsum(re_terms), math.fsum(im_terms))
+    return forces(config)[j]
 
 
 def forces(config: VortexConfiguration) -> list[complex]:
-    """All forces ``f_1 .. f_N``."""
-    return [force(config, j) for j in range(len(config))]
+    """All forces ``f_1 .. f_N``, each a compensated sum over ``k != j``."""
+    n = len(config)
+    d = np.asarray(config.circulations)
+    off = ~np.eye(n, dtype=bool)
+    terms = (np.outer(d, d)[off] / config._differences[off]).reshape(n, n - 1)
+    return [complex(math.fsum(row.real), math.fsum(row.imag)) for row in terms]
 
 
 def gradient(config: VortexConfiguration) -> list[complex]:

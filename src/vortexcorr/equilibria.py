@@ -249,6 +249,11 @@ def _horner_many(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     return result
 
 
+def _close_pairs(z: np.ndarray, threshold: float) -> np.ndarray:
+    """Index pairs ``(i, j)``, ``i < j``, with ``|z_i - z_j| < threshold``, in row-major order."""
+    return np.argwhere(np.triu(np.abs(z[:, None] - z[None, :]) < threshold, 1))
+
+
 def roots(p: Polynomial, tol: float = 1e-12) -> list[complex]:
     """All roots of ``p`` (with multiplicity) by simultaneous Aberth iteration.
 
@@ -307,16 +312,13 @@ def roots(p: Polynomial, tol: float = 1e-12) -> list[complex]:
     safe = dv != 0
     z = np.where(safe, z - pv / np.where(safe, dv, 1.0), z)
 
-    root_scale = 1.0 + float(np.abs(z).max())
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(z[i] - z[j]) < 1e-6 * root_scale:
-                warnings.warn(
-                    f"roots {i} and {j} are within 1e-6 of each other; "
-                    "they may form a multiple root",
-                    NearMultipleRootWarning,
-                    stacklevel=2,
-                )
+    for i, j in _close_pairs(z, 1e-6 * (1.0 + float(np.abs(z).max()))):
+        warnings.warn(
+            f"roots {i} and {j} are within 1e-6 of each other; "
+            "they may form a multiple root",
+            NearMultipleRootWarning,
+            stacklevel=2,
+        )
     return [complex(r) for r in z]
 
 
@@ -342,15 +344,12 @@ def config_from_adler_moser(chain: AdlerMoserChain) -> VortexConfiguration:
             f"root finding failed ({exc}); the parameters look degenerate"
         ) from exc
 
-    points = list(negative) + list(positive)
-    scale = 1.0 + max(abs(r) for r in points)
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            if abs(points[i] - points[j]) < 1e-6 * scale:
-                raise DegenerateParametersError(
-                    "two roots of the chain polynomials collide; "
-                    "the parameters are degenerate"
-                )
+    points = np.array(negative + positive, dtype=np.complex128)
+    if len(_close_pairs(points, 1e-6 * (1.0 + float(np.abs(points).max())))):
+        raise DegenerateParametersError(
+            "two roots of the chain polynomials collide; "
+            "the parameters are degenerate"
+        )
     # a simple root whose derivative value is negligible against the
     # derivative's coefficient scale cannot be located reliably: treat it
     # as a multiple root (tau_2 = 0 gives P_2 = z^3 with a triple root)
@@ -416,33 +415,25 @@ class RefinementResult:
     residual_history: tuple[float, ...] = ()
 
 
-def _force_jacobian(
-    positions: np.ndarray, circulations: np.ndarray, free_idx: Sequence[int]
-) -> np.ndarray:
+def _force_jacobian(config: VortexConfiguration, free_idx: Sequence[int]) -> np.ndarray:
     """Real Jacobian of the stacked (Re f_j, Im f_j) with respect to free positions.
 
     ``d f_j / d a_k = d_j d_k / (a_j - a_k)^2`` for ``k != j`` and minus the
     row sum for ``k == j``; each complex derivative ``h`` becomes the 2x2
     block ``[[Re h, -Im h], [Im h, Re h]]``.
     """
-    n = len(positions)
-    m = len(free_idx)
-    jac = np.zeros((2 * n, 2 * m))
-    for col, k in enumerate(free_idx):
-        for j in range(n):
-            if j == k:
-                h = 0j
-                for l in range(n):
-                    if l != k:
-                        h -= circulations[k] * circulations[l] / (
-                            (positions[k] - positions[l]) ** 2
-                        )
-            else:
-                h = circulations[j] * circulations[k] / ((positions[j] - positions[k]) ** 2)
-            jac[2 * j, 2 * col] = h.real
-            jac[2 * j, 2 * col + 1] = -h.imag
-            jac[2 * j + 1, 2 * col] = h.imag
-            jac[2 * j + 1, 2 * col + 1] = h.real
+    d = np.asarray(config.circulations)
+    sq = config._differences ** 2
+    np.fill_diagonal(sq, 1.0)
+    h = np.outer(d, d) / sq
+    np.fill_diagonal(h, 0.0)
+    np.fill_diagonal(h, -h.sum(axis=1))
+    cols = h[:, free_idx]
+    jac = np.empty((2 * len(config), 2 * len(free_idx)))
+    jac[0::2, 0::2] = cols.real
+    jac[0::2, 1::2] = -cols.imag
+    jac[1::2, 0::2] = cols.imag
+    jac[1::2, 1::2] = cols.real
     return jac
 
 
@@ -491,7 +482,6 @@ def refine_equilibrium(
     if free_idx[0] < 0 or free_idx[-1] >= n:
         raise IndexError(f"free indices {free_idx} out of range for {n} vortices")
 
-    circ = np.asarray(initial.circulations, dtype=np.float64)
     current = initial
     cur_res = residual(current)
     history = [cur_res]
@@ -499,21 +489,18 @@ def refine_equilibrium(
     message = ""
 
     while cur_res > settings.tolerance and iterations < settings.max_iterations:
-        pos = np.asarray(current.positions, dtype=np.complex128)
-        f = forces(current)
-        rhs = np.empty(2 * n)
-        for j, fj in enumerate(f):
-            rhs[2 * j] = -fj.real
-            rhs[2 * j + 1] = -fj.imag
-        jac = _force_jacobian(pos, circ, free_idx)
+        # (Re f_1, Im f_1, Re f_2, ...): the row order of the Jacobian
+        rhs = -np.array(forces(current), dtype=np.complex128).view(np.float64)
+        jac = _force_jacobian(current, free_idx)
         step, *_ = np.linalg.lstsq(jac, rhs, rcond=1e-10)
+        # (Re, Im) pairs of the step back to one complex shift per free vortex
+        shift = step.view(np.complex128)
 
         alpha = settings.damping
         accepted = False
         while alpha >= 1e-12:
-            cand_pos = pos.copy()
-            for col, k in enumerate(free_idx):
-                cand_pos[k] += alpha * complex(step[2 * col], step[2 * col + 1])
+            cand_pos = np.array(current.positions, dtype=np.complex128)
+            cand_pos[free_idx] += alpha * shift
             try:
                 candidate = _config_with_positions(current, cand_pos)
             except ConfigurationError:

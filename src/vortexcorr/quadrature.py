@@ -277,6 +277,10 @@ def _adaptive(
     target_abs_error: float,
     max_cells: int,
 ) -> tuple[complex, float, int, bool]:
+    if len(first_cells) > max_cells:
+        # the starting mesh alone exceeds the budget: estimate nothing rather
+        # than claim an error bar for work beyond it
+        return 0j, math.inf, 0, False
     heap: list[tuple[float, int, int, _Cell, complex]] = []
     frozen: list[tuple[int, complex, float]] = []
     seq = 0

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import VortexConfiguration, force
+from .core import VortexConfiguration, forces
 
 __all__ = [
     "EXCLUSION_FLOOR_SCALE",
@@ -105,8 +105,8 @@ def eval_G_partial_fractions(config: VortexConfiguration, z: complex) -> complex
     pos = config.positions
     re_terms = []
     im_terms = []
-    for j in range(len(pos)):
-        term = 2.0 * force(config, j) / (z - pos[j])
+    for j, fj in enumerate(forces(config)):
+        term = 2.0 * fj / (z - pos[j])
         re_terms.append(term.real)
         im_terms.append(term.imag)
     return complex(math.fsum(re_terms), math.fsum(im_terms))

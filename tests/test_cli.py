@@ -196,6 +196,15 @@ def test_correlation_budget_exhaustion_exit_4(capsys, collinear_file):
     assert payload["budget_exhausted"] is True
 
 
+def test_correlation_budget_below_starting_mesh_exit_4(capsys, collinear_file):
+    code, payload, err = run_json(capsys, "correlation", collinear_file, "--max-cells", "10")
+    assert code == 4
+    assert "Traceback" not in err
+    assert payload["budget_exhausted"] is True
+    assert all(est["cells_used"] <= 10 for est in payload["estimates"])
+    assert payload["extrapolation_error"] == math.inf
+
+
 def test_correlation_bad_eps_list(capsys, collinear_file):
     code, out, err = run_cli(capsys, "correlation", collinear_file, "--eps-list", "0.1,0.2")
     assert code == 2

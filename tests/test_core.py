@@ -86,6 +86,26 @@ def test_configuration_rejects_coincident_vortices():
         VortexConfiguration.from_pairs([(0.0, 1.0), (1.0, 1.0), (0.0, 1.0)])
 
 
+def test_configuration_names_first_close_pair_in_row_major_order():
+    # (0, 3) and (1, 2) both fall below the floor; (0, 3) comes first
+    with pytest.raises(ConfigurationError, match="vortices 0 and 3 "):
+        VortexConfiguration.from_pairs([(0.0, 1.0), (1.0, 1.0), (1.0, -1.0), (0.0, 2.0)])
+
+
+def test_diameter_and_min_separation_match_python_abs(rng):
+    # bit-exact against a scalar double loop: default radii and eps derive
+    # from these, so correlation results depend on their last bit
+    for _ in range(50):
+        config = random_configuration(rng, int(rng.integers(2, 12)))
+        pos = config.positions
+        gaps = [abs(pos[j] - pos[k]) for j in range(len(pos)) for k in range(j + 1, len(pos))]
+        assert config.diameter == max(gaps)
+        assert config.min_separation == min(gaps)
+    single = VortexConfiguration.from_pairs([(0.3 + 0.1j, 2.0)])
+    assert single.diameter == 0.0
+    assert single.min_separation == math.inf
+
+
 def test_configuration_rejects_zero_circulation():
     with pytest.raises(ConfigurationError, match="circulation"):
         VortexConfiguration.from_pairs([(0.0, 1.0), (1.0, 0.0)])

@@ -195,6 +195,23 @@ def test_a_eps_budget_exhaustion():
     assert result.cells_used <= 300
 
 
+def test_budget_below_starting_mesh_claims_no_error_bar():
+    # the collinear triple's starting mesh has 120 cells: a 10-cell budget
+    # cannot hold it, so nothing is estimated and no error bar is claimed
+    config = collinear_triple()
+    spec = QuadratureSpec(0.2, 25.0, 1e-4, max_cells=10)
+    result = correlation_A_eps(config, spec)
+    assert result.cells_used == 0
+    assert not result.converged
+    assert result.abs_error_estimate == math.inf
+    report = correlation_limit(config, [0.2, 0.1, 0.05], spec)
+    for est in report.estimates:
+        assert est.cells_used <= spec.max_cells
+        assert not est.converged
+    assert report.fit_degenerate
+    assert report.extrapolation_error == math.inf
+
+
 def test_a_eps_deterministic():
     spec = QuadratureSpec(0.1, 50.0, 1e-5)
     assert correlation_A_eps(collinear_triple(), spec) == correlation_A_eps(

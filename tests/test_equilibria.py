@@ -1,6 +1,8 @@
 import cmath
 import math
 import random
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -153,6 +155,20 @@ def test_roots_double_root_flagged():
         found = roots(p)
     assert len(found) == 2
     assert all(abs(r - 1.0) < 1e-5 for r in found)
+
+
+def test_roots_warns_once_per_close_pair():
+    # (z - 1)^2 (z + 1)^2: two double roots, so two close pairs
+    p = Polynomial.from_roots([1.0, 1.0, -1.0, -1.0])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        found = roots(p)
+    flagged = [w for w in caught if issubclass(w.category, NearMultipleRootWarning)]
+    assert len(flagged) == 2
+    for w in flagged:
+        i, j = (int(t) for t in re.findall(r"roots (\d+) and (\d+)", str(w.message))[0])
+        assert i < j
+        assert abs(found[i] - found[j]) < 1e-5
 
 
 def test_roots_recovers_random_multisets(rng):
@@ -324,7 +340,7 @@ def test_force_jacobian_matches_finite_differences(rng):
     pos = np.asarray(config.positions, dtype=np.complex128)
     circ = np.asarray(config.circulations)
     free = [0, 2, 3]
-    analytic = _force_jacobian(pos, circ, free)
+    analytic = _force_jacobian(config, free)
     h = 1e-7
     numeric = np.zeros_like(analytic)
     for col, k in enumerate(free):
@@ -340,3 +356,26 @@ def test_force_jacobian_matches_finite_differences(rng):
                 numeric[2 * j, 2 * col + part] = df.real
                 numeric[2 * j + 1, 2 * col + part] = df.imag
     assert np.allclose(analytic, numeric, rtol=1e-6, atol=1e-7)
+
+
+def test_force_jacobian_matches_pair_loop(rng):
+    # reference: the scalar pair loop, up to summation order on the diagonal
+    config = random_configuration(rng, 6)
+    pos = config.positions
+    circ = config.circulations
+    free = [1, 2, 5]
+    analytic = _force_jacobian(config, free)
+    for col, k in enumerate(free):
+        for j in range(len(pos)):
+            if j == k:
+                h = -sum(
+                    circ[k] * circ[l] / (pos[k] - pos[l]) ** 2
+                    for l in range(len(pos))
+                    if l != k
+                )
+            else:
+                h = circ[j] * circ[k] / (pos[j] - pos[k]) ** 2
+            block = [[h.real, -h.imag], [h.imag, h.real]]
+            assert analytic[2 * j : 2 * j + 2, 2 * col : 2 * col + 2] == pytest.approx(
+                np.array(block), rel=1e-13, abs=1e-13
+            )
