@@ -56,7 +56,7 @@ from .correlation import (
     pair_integral,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.3.1"
 
 __all__ = [
     "__version__",

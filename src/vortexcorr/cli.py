@@ -21,6 +21,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -34,12 +35,14 @@ from .core import (
 from .correlation import (
     correlation_limit,
     default_epsilon_list,
+    default_quadrature_spec,
     moebius_params,
     pair_integral,
 )
 from .equilibria import (
     DegenerateParametersError,
     NewtonSettings,
+    RootConvergenceError,
     adler_moser_chain,
     config_from_adler_moser,
     refine_equilibrium,
@@ -177,17 +180,6 @@ def _parse_eps_list(text: str) -> list[float]:
     return values
 
 
-def _estimate_payload(epsilon: float, est) -> dict:
-    return {
-        "epsilon": epsilon,
-        "value": est.value,
-        "abs_error_estimate": est.abs_error_estimate,
-        "tail_correction": est.tail_correction,
-        "cells_used": est.cells_used,
-        "converged": est.converged,
-    }
-
-
 def cmd_energy(params: dict) -> tuple[dict, int]:
     config, label = _load_config(params["config_path"])
     payload = {"W": energy(config), "convention": _CONVENTION_NOTE}
@@ -221,7 +213,7 @@ def cmd_correlation(params: dict) -> tuple[dict, int]:
         if params.get("eps_list")
         else default_epsilon_list(config)
     )
-    radius = params.get("radius") or 50.0 * (1.0 + config.diameter)
+    radius = params.get("radius") or default_quadrature_spec(config).cutoff_radius
     spec = QuadratureSpec(
         epsilon=eps_values[0],
         cutoff_radius=radius,
@@ -251,7 +243,7 @@ def cmd_correlation(params: dict) -> tuple[dict, int]:
     except ValueError as exc:
         raise CliFailure(EXIT_USAGE, str(exc)) from exc
     payload["estimates"] = [
-        _estimate_payload(e, est) for e, est in zip(report.epsilons, report.estimates)
+        {"epsilon": e, **asdict(est)} for e, est in zip(report.epsilons, report.estimates)
     ]
     if equilibrium:
         payload["extrapolated_limit"] = report.extrapolated_limit
@@ -296,11 +288,7 @@ def cmd_pair_integral(params: dict) -> tuple[dict, int]:
         "p": _complex_dict(p),
         "q": _complex_dict(q),
         "epsilon": eps,
-        "value": result.value,
-        "abs_error_estimate": result.abs_error_estimate,
-        "tail_correction": result.tail_correction,
-        "cells_used": result.cells_used,
-        "converged": result.converged,
+        **asdict(result),
         "moebius": {
             "epsilon": mp.epsilon,
             "a": mp.a,
@@ -330,9 +318,14 @@ def cmd_adler_moser(params: dict) -> tuple[dict, int]:
         chain = adler_moser_chain(n, taus)
     except ValueError as exc:
         raise CliFailure(EXIT_USAGE, str(exc)) from exc
+    except ArithmeticError as exc:
+        # the chain recurrence missed its accuracy gate: numeric, not degenerate
+        raise CliFailure(EXIT_NONCONVERGENCE, str(exc)) from exc
     try:
         config = config_from_adler_moser(chain)
     except DegenerateParametersError as exc:
+        if isinstance(exc.__cause__, RootConvergenceError):
+            raise CliFailure(EXIT_NONCONVERGENCE, str(exc.__cause__)) from exc
         raise CliFailure(
             EXIT_DEGENERATE, f"{exc}; try perturbing the tau parameters"
         ) from exc
@@ -476,27 +469,38 @@ def _params_from_args(args: argparse.Namespace) -> dict:
     return {k: v for k, v in vars(args).items() if k not in skip}
 
 
+def _strict_json(value):
+    """``value`` with every non-finite float replaced by None.
+
+    JSON has no infinity or NaN; an error bar the run cannot claim is null.
+    """
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _strict_json(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_strict_json(v) for v in value]
+    return value
+
+
+def _dumps(value, **kwargs) -> str:
+    return json.dumps(value, sort_keys=True, allow_nan=False, **kwargs)
+
+
 def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(_dumps(payload, indent=2))
 
 
 def _emit_csv(payload: dict) -> None:
+    # the csv module writes floats with repr and None as an empty field
+    columns = [
+        "epsilon", "value", "abs_error_estimate", "tail_correction", "cells_used", "converged"
+    ]
     buffer = io.StringIO()
     writer = csv.writer(buffer)
-    writer.writerow(
-        ["epsilon", "value", "abs_error_estimate", "tail_correction", "cells_used", "converged"]
-    )
+    writer.writerow(columns)
     for row in payload.get("estimates", []):
-        writer.writerow(
-            [
-                repr(row["epsilon"]),
-                repr(row["value"]),
-                repr(row["abs_error_estimate"]),
-                repr(row["tail_correction"]),
-                row["cells_used"],
-                row["converged"],
-            ]
-        )
+        writer.writerow([row[c] for c in columns])
     sys.stdout.write(buffer.getvalue())
 
 
@@ -508,9 +512,7 @@ def _write_manifest(path: str, command: str, params: dict, payload: dict) -> Non
         "results": payload,
     }
     try:
-        Path(path).write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        Path(path).write_text(_dumps(manifest, indent=2) + "\n", encoding="utf-8")
     except OSError as exc:
         raise CliFailure(EXIT_USAGE, f"cannot write manifest {path}: {exc}") from exc
 
@@ -523,9 +525,10 @@ def _run_replay(manifest_path: str) -> int:
     if command not in HANDLERS:
         raise CliFailure(EXIT_USAGE, f"manifest names unknown command {command!r}")
     payload, code = HANDLERS[command](dict(data["parameters"]))
+    payload = _strict_json(payload)
     _emit_json(payload)
-    recorded = json.dumps(data.get("results"), sort_keys=True)
-    fresh = json.dumps(payload, sort_keys=True)
+    recorded = _dumps(_strict_json(data.get("results")))
+    fresh = _dumps(payload)
     if recorded == fresh:
         print("replay: results reproduce bit-exactly", file=sys.stderr)
         return code
@@ -552,6 +555,7 @@ def main(argv: list[str] | None = None) -> int:
             return _run_replay(args.manifest_path)
         params = _params_from_args(args)
         payload, code = HANDLERS[args.command](params)
+        payload = _strict_json(payload)
         if args.command == "correlation" and args.format == "csv":
             _emit_csv(payload)
         else:

@@ -25,8 +25,10 @@ independent noise, amplified by the extrapolation weights.
 
 The two-disk identity -- the integral of
 ``1/(conj(z-p)^2 (z-q)^2)`` over the plane minus eps-disks at ``p`` and
-``q`` vanishes -- is checked by direct quadrature in :func:`pair_integral`,
-and :func:`moebius_params` exposes the fractional-linear map that turns
+``q`` vanishes -- is checked by direct quadrature in :func:`pair_integral`.
+:func:`cross_pair_truncated` runs the same two-disk integral, weighted by
+``d_j^2 d_k^2``, for one ordered pair of a configuration, and
+:func:`moebius_params` exposes the fractional-linear map that turns
 that two-disk geometry into a round annulus.
 """
 
@@ -107,8 +109,10 @@ def _excisions_for(points: Sequence[complex], epsilon: float) -> list[DiskExcisi
     """Partition-of-unity excisions around the given points.
 
     The cutoff plateau must cover the excised radius and the supports of
-    neighbouring excisions must stay disjoint, which restricts ``epsilon``
-    to slightly less than half the minimum pairwise distance.
+    neighbouring excisions must stay disjoint.  Every caller first checks
+    ``epsilon`` against half the minimum pairwise distance of the same
+    points, computed with the same rounding, so the excised disks never
+    overlap here.
     """
     points = [complex(p) for p in points]
     if epsilon <= 0.0:
@@ -116,11 +120,6 @@ def _excisions_for(points: Sequence[complex], epsilon: float) -> list[DiskExcisi
     out = []
     for i, c in enumerate(points):
         mdist = min(abs(c - q) for j, q in enumerate(points) if j != i)
-        if epsilon >= 0.5 * mdist:
-            raise ValueError(
-                f"excision radius {epsilon} overlaps a neighbour: half the "
-                f"distance from point {i} to its nearest neighbour is {0.5 * mdist}"
-            )
         plateau = max(1.05 * epsilon, 0.25 * mdist)
         support = 0.45 * mdist
         if plateau >= 0.98 * support:
@@ -132,17 +131,6 @@ def _excisions_for(points: Sequence[complex], epsilon: float) -> list[DiskExcisi
             )
         out.append(DiskExcision(center=c, radius=epsilon, plateau=plateau, support=support))
     return out
-
-
-def _pair_kernel(p: complex, q: complex):
-    """Vectorised ``1 / (conj(z - p)^2 (z - q)^2)``."""
-
-    def f(zs: np.ndarray) -> np.ndarray:
-        left = np.conj(zs - p)
-        right = zs - q
-        return 1.0 / (left * left * right * right)
-
-    return f
 
 
 def _pair_tail(p: complex, q: complex, radius: float) -> complex:
@@ -161,6 +149,36 @@ def _pair_tail_budget(p: complex, q: complex, radius: float) -> float:
     return 100.0 * (1.0 + max(abs(p), abs(q))) ** 4 / radius**4
 
 
+def _pair_run(
+    p: complex, q: complex, epsilon: float, weight: float, spec: QuadratureSpec
+) -> tuple[complex, float, float, int, bool]:
+    """The two-disk integral of ``weight / (conj(z-p)^2 (z-q)^2)``.
+
+    Integrates over the disk of radius ``spec.cutoff_radius`` about the
+    origin minus the two ``epsilon``-disks and adds the analytic far-field
+    tail.  Returns the corrected complex estimate, its error (adaptive error
+    plus the tail budget), the real part of the tail, the cells used and
+    whether the adaptive run converged.
+    """
+    if not epsilon < 0.5 * abs(p - q):
+        raise ValueError(
+            f"epsilon {epsilon} must be below half the pair separation {0.5 * abs(p - q)}"
+        )
+    excisions = _excisions_for([p, q], epsilon)
+
+    def f(zs: np.ndarray) -> np.ndarray:
+        left = np.conj(zs - p)
+        right = zs - q
+        return weight * (1.0 / (left * left * right * right))
+
+    raw, err, cells, converged = integrate_excised_disk(
+        f, excisions, spec.cutoff_radius, spec.target_abs_error, spec.max_cells
+    )
+    tail = weight * _pair_tail(p, q, spec.cutoff_radius)
+    error = err + weight * _pair_tail_budget(p, q, spec.cutoff_radius)
+    return raw + tail, error, tail.real, cells, converged
+
+
 def pair_integral(
     p: complex, q: complex, epsilon: float, spec: QuadratureSpec
 ) -> QuadratureResult:
@@ -175,32 +193,18 @@ def pair_integral(
     p = complex(p)
     q = complex(q)
     sep = abs(p - q)
-    if not epsilon < 0.5 * sep:
-        raise ValueError(
-            f"epsilon must be below half the pair separation {0.5 * sep} (got {epsilon})"
-        )
     if not spec.cutoff_radius > 2.0 * (sep + 1.0):
         raise ValueError(
             f"cutoff_radius must exceed 2 * (separation + 1) = {2.0 * (sep + 1.0)}"
         )
     mid = 0.5 * (p + q)
-    p0 = p - mid
-    q0 = q - mid
-    excisions = _excisions_for([p0, q0], epsilon)
-    raw, err, cells, converged = integrate_excised_disk(
-        _pair_kernel(p0, q0),
-        excisions,
-        spec.cutoff_radius,
-        spec.target_abs_error,
-        spec.max_cells,
+    estimate, error, tail, cells, converged = _pair_run(
+        p - mid, q - mid, epsilon, 1.0, spec
     )
-    tail = _pair_tail(p0, q0, spec.cutoff_radius)
-    estimate = raw + tail
-    total_err = err + _pair_tail_budget(p0, q0, spec.cutoff_radius)
     return QuadratureResult(
         value=abs(estimate),
-        abs_error_estimate=total_err,
-        tail_correction=complex(tail).real,
+        abs_error_estimate=error,
+        tail_correction=tail,
         cells_used=cells,
         converged=converged,
     )
@@ -281,38 +285,14 @@ def cross_pair_truncated(
     if j == k:
         raise ValueError("the pair indices must differ")
     _validate_radius(config, spec)
-    p = config.positions[j]
-    q = config.positions[k]
-    if not epsilon < 0.5 * abs(p - q):
-        raise ValueError(
-            f"epsilon {epsilon} must be below half the pair separation {0.5 * abs(p - q)}"
-        )
-    weight = (config.circulations[j] * config.circulations[k]) ** 2
-    excisions = _excisions_for([p, q], epsilon)
-    for exc in excisions:
-        if abs(exc.center) + exc.support >= spec.cutoff_radius:
-            raise ValueError(
-                "cutoff_radius too small to contain the pair excisions"
-            )
-    kernel = _pair_kernel(p, q)
-
-    def f(zs: np.ndarray) -> np.ndarray:
-        return weight * kernel(zs)
-
-    raw, err, cells, converged = integrate_excised_disk(
-        f, excisions, spec.cutoff_radius, spec.target_abs_error, spec.max_cells
-    )
-    tail = weight * _pair_tail(p, q, spec.cutoff_radius)
-    estimate = raw + tail
-    total_err = (
-        err
-        + weight * _pair_tail_budget(p, q, spec.cutoff_radius)
-        + abs(estimate.imag)
+    d = config.circulations
+    estimate, error, tail, cells, converged = _pair_run(
+        config.positions[j], config.positions[k], epsilon, (d[j] * d[k]) ** 2, spec
     )
     return QuadratureResult(
         value=estimate.real,
-        abs_error_estimate=total_err,
-        tail_correction=complex(tail).real,
+        abs_error_estimate=error + abs(estimate.imag),
+        tail_correction=tail,
         cells_used=cells,
         converged=converged,
     )

@@ -242,13 +242,6 @@ def adler_moser_chain(n: int, parameters: Sequence[complex] = ()) -> AdlerMoserC
     return chain
 
 
-def _horner_many(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    result = np.full_like(z, coeffs[-1], dtype=np.complex128)
-    for c in coeffs[-2::-1]:
-        result = result * z + c
-    return result
-
-
 def _close_pairs(z: np.ndarray, threshold: float) -> np.ndarray:
     """Index pairs ``(i, j)``, ``i < j``, with ``|z_i - z_j| < threshold``, in row-major order."""
     return np.argwhere(np.triu(np.abs(z[:, None] - z[None, :]) < threshold, 1))
@@ -272,10 +265,9 @@ def roots(p: Polynomial, tol: float = 1e-12) -> list[complex]:
     if not tol > 0.0:
         raise ValueError("tol must be positive")
 
-    c = np.asarray(p.coefficients, dtype=np.complex128)
     n = p.degree
-    dcoef = np.asarray(p.derivative().coefficients, dtype=np.complex128)
-    abs_c = np.abs(c)
+    dp = p.derivative()
+    abs_c = np.abs(np.asarray(p.coefficients, dtype=np.complex128))
 
     bound = 1.0 + float(abs_c[:-1].max()) / float(abs_c[-1])
     angles = 2.0 * np.pi * np.arange(n) / n + 0.376
@@ -283,13 +275,13 @@ def roots(p: Polynomial, tol: float = 1e-12) -> list[complex]:
 
     done = np.zeros(n, dtype=bool)
     for _ in range(200):
-        pv = _horner_many(c, z)
+        pv = p(z)
         # coefficient scale anchored at 1 so roots at the origin stay reachable
         scale = np.polynomial.polynomial.polyval(np.maximum(1.0, np.abs(z)), abs_c)
         done = np.abs(pv) <= tol * scale
         if done.all():
             break
-        dv = _horner_many(dcoef, z)
+        dv = dp(z)
         dv = np.where(dv == 0, 1e-300, dv)
         newton = pv / dv
         pairwise = z[:, None] - z[None, :]
@@ -307,8 +299,8 @@ def roots(p: Polynomial, tol: float = 1e-12) -> list[complex]:
         )
 
     # one Newton polish per root
-    pv = _horner_many(c, z)
-    dv = _horner_many(dcoef, z)
+    pv = p(z)
+    dv = dp(z)
     safe = dv != 0
     z = np.where(safe, z - pv / np.where(safe, dv, 1.0), z)
 

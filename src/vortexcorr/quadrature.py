@@ -220,25 +220,21 @@ def _geometric_edges(inner: float, outer: float, ratio: float = 2.0) -> list[flo
     return edges
 
 
-def _patch_cells(
-    index: int, excision: DiskExcision, angular_panels: int = 8
+def _polar_cells(
+    index: int, radial_edges: Sequence[float], angular_panels: int = 8
 ) -> list[tuple[int, _Cell]]:
-    radial = _geometric_edges(excision.radius, excision.plateau)
-    if excision.support > excision.plateau:
-        radial.append(excision.support)
-    cells = []
+    """Starting cells of region ``index``: every radial interval split into
+    equal angular panels, ordered ring by ring."""
     dt = 2.0 * math.pi / angular_panels
-    for a, b in zip(radial[:-1], radial[1:]):
-        for i in range(angular_panels):
-            cells.append((index, (a, b, i * dt, (i + 1) * dt)))
-    return cells
+    return [
+        (index, (a, b, i * dt, (i + 1) * dt))
+        for a, b in zip(radial_edges[:-1], radial_edges[1:])
+        for i in range(angular_panels)
+    ]
 
 
 def _background_cells(
-    index: int,
-    excisions: Sequence[DiskExcision],
-    cutoff_radius: float,
-    angular_panels: int = 8,
+    index: int, excisions: Sequence[DiskExcision], cutoff_radius: float
 ) -> list[tuple[int, _Cell]]:
     marks = {0.0, cutoff_radius}
     for exc in excisions:
@@ -261,13 +257,7 @@ def _background_cells(
         if r - cleaned[-1] > 1e-12 * cutoff_radius:
             cleaned.append(r)
     cleaned[-1] = cutoff_radius
-
-    cells = []
-    dt = 2.0 * math.pi / angular_panels
-    for a, b in zip(cleaned[:-1], cleaned[1:]):
-        for i in range(angular_panels):
-            cells.append((index, (a, b, i * dt, (i + 1) * dt)))
-    return cells
+    return _polar_cells(index, cleaned)
 
 
 def _adaptive(
@@ -391,7 +381,9 @@ def integrate_excised_disk(
     regions.append(_Region(center=0j, holes=holes))
     cells: list[tuple[int, _Cell]] = []
     for idx, exc in enumerate(excisions):
-        cells.extend(_patch_cells(idx, exc))
+        # the support always lies past the plateau (DiskExcision checks it)
+        radial = _geometric_edges(exc.radius, exc.plateau) + [exc.support]
+        cells.extend(_polar_cells(idx, radial))
     cells.extend(_background_cells(len(regions) - 1, excisions, cutoff_radius))
     return _adaptive(f, regions, cells, target_abs_error, max_cells)
 
@@ -411,13 +403,7 @@ def _integrate_annuli(
     """
     regions = [_Region(center=complex(c)) for c in centers]
     radial = _geometric_edges(inner, outer)
-    dt = 2.0 * math.pi / 8
-    cells = [
-        (idx, (a, b, i * dt, (i + 1) * dt))
-        for idx in range(len(regions))
-        for a, b in zip(radial[:-1], radial[1:])
-        for i in range(8)
-    ]
+    cells = [cell for idx in range(len(regions)) for cell in _polar_cells(idx, radial)]
     return _adaptive(f, regions, cells, target_abs_error, max_cells)
 
 
@@ -430,9 +416,5 @@ def integrate_disk(
 ) -> tuple[complex, float, int, bool]:
     """Integrate a smooth ``f`` over the full disk ``B_radius(center)``."""
     region = _Region(center=complex(center))
-    cells = [
-        (0, (a, b, i * math.pi / 2.0, (i + 1) * math.pi / 2.0))
-        for a, b in zip([0.0, 0.5 * radius], [0.5 * radius, radius])
-        for i in range(4)
-    ]
+    cells = _polar_cells(0, [0.0, 0.5 * radius, radius], angular_panels=4)
     return _adaptive(f, [region], cells, target_abs_error, max_cells)

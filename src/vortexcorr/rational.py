@@ -8,9 +8,9 @@ terms ``T_j(z) = d_j^2/(z - a_j)^2``, and the correlation integrand
 
 Scalar entry points validate that the evaluation point keeps a minimal
 distance from every vortex and raise :class:`PoleEvaluationError`
-otherwise.  The ``*_values`` helpers evaluate on numpy arrays without
-per-point validation; quadrature drives them over points that are known
-to stay clear of the poles.
+otherwise.  :func:`integrand_values` evaluates on numpy arrays without
+per-point validation; quadrature drives it over points that are known to
+stay clear of the poles.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ __all__ = [
     "eval_T",
     "integrand",
     "cross_term",
-    "field_values",
     "integrand_values",
 ]
 
@@ -179,14 +178,6 @@ def cross_term(config: VortexConfiguration, z: complex) -> float:
             f"imaginary part {imag!r} of the ordered cross sum failed to cancel"
         )
     return math.fsum(re_terms)
-
-
-def field_values(config: VortexConfiguration, zs: np.ndarray) -> np.ndarray:
-    """Vectorised ``sum_j d_j/(z - a_j)`` for an array of points."""
-    a = np.asarray(config.positions, dtype=np.complex128)
-    d = np.asarray(config.circulations, dtype=np.float64)
-    diff = np.asarray(zs, dtype=np.complex128)[..., None] - a
-    return (d / diff).sum(axis=-1)
 
 
 def integrand_values(config: VortexConfiguration, zs: np.ndarray) -> np.ndarray:

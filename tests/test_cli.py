@@ -40,6 +40,15 @@ def run_json(capsys, *argv):
     return code, (json.loads(out) if out.strip() else None), err
 
 
+def strict_loads(text):
+    """``json.loads`` that rejects the non-JSON tokens Infinity, -Infinity and NaN."""
+
+    def reject(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 # ------------------------------------------------------------------- energy
 
 
@@ -196,13 +205,18 @@ def test_correlation_budget_exhaustion_exit_4(capsys, collinear_file):
     assert payload["budget_exhausted"] is True
 
 
-def test_correlation_budget_below_starting_mesh_exit_4(capsys, collinear_file):
-    code, payload, err = run_json(capsys, "correlation", collinear_file, "--max-cells", "10")
+def test_correlation_budget_below_starting_mesh_exit_4(capsys, collinear_file, tmp_path):
+    manifest = tmp_path / "run.json"
+    code, out, err = run_cli(
+        capsys, "correlation", collinear_file, "--max-cells", "10", "--manifest", str(manifest)
+    )
     assert code == 4
     assert "Traceback" not in err
+    payload = strict_loads(out)
+    assert strict_loads(manifest.read_text())["results"] == payload
     assert payload["budget_exhausted"] is True
     assert all(est["cells_used"] <= 10 for est in payload["estimates"])
-    assert payload["extrapolation_error"] == math.inf
+    assert payload["extrapolation_error"] is None
 
 
 def test_correlation_bad_eps_list(capsys, collinear_file):
@@ -266,6 +280,20 @@ def test_adler_moser_degenerate_exit_5(capsys):
     code, out, err = run_cli(capsys, "adler-moser", "--n", "2", "--tau-list", "0")
     assert code == 5
     assert "perturbing the tau parameters" in err
+
+
+def test_adler_moser_root_nonconvergence_exit_4(capsys):
+    code, out, err = run_cli(capsys, "adler-moser", "--n", "7", "--tau-list", "1,1,1,1,1,1")
+    assert code == 4
+    assert err.startswith("error: root iteration did not converge")
+    assert "perturbing" not in err
+
+
+def test_adler_moser_chain_defect_exit_4(capsys):
+    code, out, err = run_cli(capsys, "adler-moser", "--n", "8", "--tau-list", "1,1,1,1,1,1,1")
+    assert code == 4
+    assert err.startswith("error: chain recurrence defect")
+    assert "Traceback" not in err
 
 
 def test_adler_moser_n3_refined(capsys):

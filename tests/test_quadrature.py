@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from vortexcorr.correlation import pair_integral
+from vortexcorr.correlation import cross_pair_truncated, pair_integral
+from vortexcorr.equilibria import collinear_triple
 from vortexcorr.quadrature import (
     DiskExcision,
     QuadratureResult,
@@ -166,6 +167,28 @@ def test_bit_exact_golden_values():
         "0x1.ceea252c00000p-24",
         "0x1.c3f2753b933a7p-9",
         "0x1.010234cd02041p-7",
+        296,
+        True,
+    )
+
+    # an off-centre pair with weight (1 * -0.5)^2 = 0.25
+    res = cross_pair_truncated(
+        collinear_triple(),
+        0,
+        1,
+        0.1,
+        QuadratureSpec(epsilon=0.1, cutoff_radius=20.0, target_abs_error=1e-4),
+    )
+    assert (
+        res.value.hex(),
+        res.abs_error_estimate.hex(),
+        res.tail_correction.hex(),
+        res.cells_used,
+        res.converged,
+    ) == (
+        "-0x1.92b91c86fc800p-20",
+        "0x1.548b2aff59d16p-9",
+        "0x1.015bf9217271ap-9",
         296,
         True,
     )
