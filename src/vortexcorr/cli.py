@@ -323,9 +323,9 @@ def cmd_adler_moser(params: dict) -> tuple[dict, int]:
         raise CliFailure(EXIT_NONCONVERGENCE, str(exc)) from exc
     try:
         config = config_from_adler_moser(chain)
+    except RootConvergenceError as exc:
+        raise CliFailure(EXIT_NONCONVERGENCE, str(exc)) from exc
     except DegenerateParametersError as exc:
-        if isinstance(exc.__cause__, RootConvergenceError):
-            raise CliFailure(EXIT_NONCONVERGENCE, str(exc.__cause__)) from exc
         raise CliFailure(
             EXIT_DEGENERATE, f"{exc}; try perturbing the tau parameters"
         ) from exc

@@ -424,10 +424,6 @@ def correlation_limit(
         for raw, err, cells, converged in rings
     )
     values = [est.value for est in estimates]
-    # the conservative far-field budget and the main run's error are shared
-    # by every estimate; only the ring errors act as noise on differences
-    tail_budget = _far_field_budget(config, spec.cutoff_radius)
-    shared = max(main.abs_error_estimate - tail_budget, 0.0)
     noises = [0.0] + [err for _, err, _, _ in rings]
 
     use = min(3, len(eps))
@@ -467,7 +463,7 @@ def correlation_limit(
     else:
         model_spread = abs(limit - values[-1]) * (xs[-1] / xs[-2])
     extrap_error = (
-        tail_budget + shared + amplification * max(noises[-use:]) + model_spread
+        main.abs_error_estimate + amplification * max(noises[-use:]) + model_spread
     )
     return CorrelationReport(
         epsilons=tuple(eps),

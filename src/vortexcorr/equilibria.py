@@ -9,8 +9,9 @@ Two routes are provided:
 * a damped Newton refiner that drives every force ``f_j`` to zero while a
   chosen subset of positions moves.
 
-The root finder is a simultaneous Aberth-Ehrlich iteration: deterministic,
-all roots at once, robust for the modest degrees that occur here.
+Roots are the eigenvalues of the companion matrix (numpy's ``polyroots``,
+LAPACK underneath), each followed by one Newton polish and checked against
+a backward-error bound.  Their last bits depend on the LAPACK build.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .core import (
     ConfigurationError,
@@ -51,7 +53,7 @@ class DegenerateParametersError(ValueError):
 
 
 class RootConvergenceError(RuntimeError):
-    """The simultaneous root iteration hit its cap with unconverged roots."""
+    """The companion eigenvalues failed or some roots miss the backward-error bound."""
 
     def __init__(self, message: str, failed_indices: tuple[int, ...]):
         super().__init__(message)
@@ -132,15 +134,7 @@ def _wronskian_coeffs(p: Polynomial, q: Polynomial) -> np.ndarray:
     """Coefficients of ``p' q - p q'``."""
     pa = np.asarray(p.coefficients)
     qa = np.asarray(q.coefficients)
-    dpa = np.asarray(p.derivative().coefficients)
-    dqa = np.asarray(q.derivative().coefficients)
-    left = np.convolve(dpa, qa)
-    right = np.convolve(pa, dqa)
-    n = max(len(left), len(right))
-    out = np.zeros(n, dtype=np.complex128)
-    out[: len(left)] += left
-    out[: len(right)] -= right
-    return out
+    return P.polysub(P.polymul(P.polyder(pa), qa), P.polymul(pa, P.polyder(qa)))
 
 
 @dataclass(frozen=True)
@@ -160,13 +154,9 @@ class AdlerMoserChain:
     def wronskian_defect(self, k: int) -> float:
         """Relative coefficient error of the recurrence at step ``k`` (1-based)."""
         lhs = _wronskian_coeffs(self.polynomials[k + 1], self.polynomials[k - 1])
-        rhs = np.asarray(
-            ((2 * k + 1) * (self.polynomials[k] * self.polynomials[k])).coefficients
-        )
-        n = max(len(lhs), len(rhs))
-        diff = np.zeros(n, dtype=np.complex128)
-        diff[: len(lhs)] += lhs
-        diff[: len(rhs)] -= rhs
+        mid = np.asarray(self.polynomials[k].coefficients)
+        rhs = (2 * k + 1) * P.polymul(mid, mid)
+        diff = P.polysub(lhs, rhs)
         scale = max(np.abs(rhs).max(), 1e-300)
         return float(np.abs(diff).max() / scale)
 
@@ -247,62 +237,49 @@ def _close_pairs(z: np.ndarray, threshold: float) -> np.ndarray:
     return np.argwhere(np.triu(np.abs(z[:, None] - z[None, :]) < threshold, 1))
 
 
-def roots(p: Polynomial, tol: float = 1e-12) -> list[complex]:
-    """All roots of ``p`` (with multiplicity) by simultaneous Aberth iteration.
+# backward-error bound that every returned root must meet
+_ROOT_TOL = 1e-12
 
-    Starting points sit on the circle given by the Cauchy coefficient bound
-    with a fixed phase offset of 0.376 rad to break symmetry ties; the
-    iteration is capped at 200 sweeps and each root receives one final
-    Newton polish.  Each returned root ``r`` satisfies
-    ``|p(r)| <= tol * sum_i |c_i| max(1, |r|)^i``.
 
-    Raises :class:`RootConvergenceError` when some roots fail to converge;
-    emits :class:`NearMultipleRootWarning` when two roots end up closer than
-    ``1e-6 * (1 + max |root|)``.
+def roots(p: Polynomial) -> list[complex]:
+    """All roots of ``p`` (with multiplicity): companion eigenvalues plus one Newton polish.
+
+    The eigenvalues of the companion matrix come from
+    ``numpy.polynomial.polynomial.polyroots`` (LAPACK), in its sorted order;
+    each then receives one Newton step.  Each returned root ``r`` satisfies
+    ``|p(r)| <= 1e-12 * sum_i |c_i| max(1, |r|)^i``.
+
+    Raises :class:`RootConvergenceError` when the eigenvalue solver fails,
+    the companion matrix is not finite, or some polished root misses that
+    bound; emits :class:`NearMultipleRootWarning` when two roots end up
+    closer than ``1e-6 * (1 + max |root|)``.
     """
     if p.degree < 1:
         raise ValueError("the polynomial must have degree at least 1")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
 
-    n = p.degree
-    dp = p.derivative()
     abs_c = np.abs(np.asarray(p.coefficients, dtype=np.complex128))
-
-    bound = 1.0 + float(abs_c[:-1].max()) / float(abs_c[-1])
-    angles = 2.0 * np.pi * np.arange(n) / n + 0.376
-    z = bound * np.exp(1j * angles)
-
-    done = np.zeros(n, dtype=bool)
-    for _ in range(200):
+    # overflow in the companion matrix or in the polish is reported below,
+    # not as a RuntimeWarning
+    with np.errstate(all="ignore"):
+        try:
+            z = P.polyroots(p.coefficients)
+        except np.linalg.LinAlgError as exc:
+            raise RootConvergenceError(
+                f"companion eigenvalues failed: {exc}", tuple(range(p.degree))
+            ) from exc
         pv = p(z)
+        dv = p.derivative()(z)
+        safe = dv != 0
+        z = np.where(safe, z - pv / np.where(safe, dv, 1.0), z)
         # coefficient scale anchored at 1 so roots at the origin stay reachable
-        scale = np.polynomial.polynomial.polyval(np.maximum(1.0, np.abs(z)), abs_c)
-        done = np.abs(pv) <= tol * scale
-        if done.all():
-            break
-        dv = dp(z)
-        dv = np.where(dv == 0, 1e-300, dv)
-        newton = pv / dv
-        pairwise = z[:, None] - z[None, :]
-        np.fill_diagonal(pairwise, 1.0)
-        inv = 1.0 / pairwise
-        np.fill_diagonal(inv, 0.0)
-        repel = inv.sum(axis=1)
-        step = newton / (1.0 - newton * repel)
-        z = np.where(done, z, z - step)
-    else:
-        failed = tuple(int(i) for i in np.nonzero(~done)[0])
+        scale = P.polyval(np.maximum(1.0, np.abs(z)), abs_c)
+        ok = np.isfinite(z) & (np.abs(p(z)) <= _ROOT_TOL * scale)
+    if not ok.all():
+        failed = tuple(int(i) for i in np.nonzero(~ok)[0])
         raise RootConvergenceError(
-            f"root iteration did not converge for indices {failed} after 200 sweeps",
+            f"roots {failed} miss the backward-error bound after the Newton polish",
             failed,
         )
-
-    # one Newton polish per root
-    pv = p(z)
-    dv = dp(z)
-    safe = dv != 0
-    z = np.where(safe, z - pv / np.where(safe, dv, 1.0), z)
 
     for i, j in _close_pairs(z, 1e-6 * (1.0 + float(np.abs(z).max()))):
         warnings.warn(
@@ -319,22 +296,18 @@ def config_from_adler_moser(chain: AdlerMoserChain) -> VortexConfiguration:
 
     The root sets must be simple and disjoint; degenerate parameters (for
     example ``tau_2 = 0``, which gives ``P_2 = z^3`` with a triple root)
-    raise :class:`DegenerateParametersError`.  The result is an equilibrium
+    raise :class:`DegenerateParametersError`; a root-finder failure propagates
+    as :class:`RootConvergenceError`.  The result is an equilibrium
     up to root-finding accuracy; callers may refine it further.
     """
     if chain.n < 1:
         raise ValueError("the chain must reach index 1 to define a configuration")
     p_low = chain.polynomials[chain.n - 1]
     p_high = chain.polynomials[chain.n]
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", NearMultipleRootWarning)
-            negative = roots(p_low) if p_low.degree >= 1 else []
-            positive = roots(p_high)
-    except RootConvergenceError as exc:
-        raise DegenerateParametersError(
-            f"root finding failed ({exc}); the parameters look degenerate"
-        ) from exc
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NearMultipleRootWarning)
+        negative = roots(p_low) if p_low.degree >= 1 else []
+        positive = roots(p_high)
 
     points = np.array(negative + positive, dtype=np.complex128)
     if len(_close_pairs(points, 1e-6 * (1.0 + float(np.abs(points).max())))):
@@ -384,15 +357,12 @@ class NewtonSettings:
 
     max_iterations: int = 50
     tolerance: float = 1e-12
-    damping: float = 1.0
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if not self.tolerance > 0.0:
             raise ValueError("tolerance must be positive")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -488,7 +458,7 @@ def refine_equilibrium(
         # (Re, Im) pairs of the step back to one complex shift per free vortex
         shift = step.view(np.complex128)
 
-        alpha = settings.damping
+        alpha = 1.0
         accepted = False
         while alpha >= 1e-12:
             cand_pos = np.array(current.positions, dtype=np.complex128)

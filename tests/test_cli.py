@@ -3,7 +3,14 @@ import math
 
 import pytest
 
-from vortexcorr import VortexConfiguration, __version__, energy, residual
+import vortexcorr.equilibria as equilibria
+from vortexcorr import (
+    RootConvergenceError,
+    VortexConfiguration,
+    __version__,
+    energy,
+    residual,
+)
 from vortexcorr.cli import main
 
 
@@ -282,11 +289,26 @@ def test_adler_moser_degenerate_exit_5(capsys):
     assert "perturbing the tau parameters" in err
 
 
-def test_adler_moser_root_nonconvergence_exit_4(capsys):
-    code, out, err = run_cli(capsys, "adler-moser", "--n", "7", "--tau-list", "1,1,1,1,1,1")
+def test_adler_moser_root_nonconvergence_exit_4(capsys, monkeypatch):
+    def fail(p):
+        raise RootConvergenceError("roots (0,) miss the backward-error bound", (0,))
+
+    monkeypatch.setattr(equilibria, "roots", fail)
+    code, out, err = run_cli(capsys, "adler-moser", "--n", "3", "--tau-list", "1,1")
     assert code == 4
-    assert err.startswith("error: root iteration did not converge")
+    assert err.startswith("error: roots (0,) miss the backward-error bound")
     assert "perturbing" not in err
+    assert "Traceback" not in err
+
+
+def test_adler_moser_n7_builds(capsys, tmp_path):
+    out_path = tmp_path / "am7.json"
+    code, payload, _ = run_json(
+        capsys, "adler-moser", "--n", "7", "--tau-list", "1,1,1,1,1,1", "--out", str(out_path)
+    )
+    assert code == 0
+    assert payload["residual"] <= 1e-10
+    assert len(json.loads(out_path.read_text())["vortices"]) == 49
 
 
 def test_adler_moser_chain_defect_exit_4(capsys):

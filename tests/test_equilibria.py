@@ -12,6 +12,7 @@ from vortexcorr import (
     NearMultipleRootWarning,
     NewtonSettings,
     Polynomial,
+    RootConvergenceError,
     VortexConfiguration,
     adler_moser_chain,
     collinear_triple,
@@ -21,6 +22,7 @@ from vortexcorr import (
     residual,
     roots,
 )
+import vortexcorr.equilibria as equilibria
 from vortexcorr.equilibria import _force_jacobian
 
 from conftest import random_configuration
@@ -190,8 +192,27 @@ def test_roots_recovers_random_multisets(rng):
 def test_roots_validation():
     with pytest.raises(ValueError):
         roots(Polynomial((1.0,)))
-    with pytest.raises(ValueError):
-        roots(Polynomial((1.0, 1.0)), tol=0.0)
+
+
+def test_roots_meet_backward_error_bound_on_chain_polynomials():
+    chain = adler_moser_chain(7, [1.0] * 6)
+    for p in chain.polynomials[1:]:
+        found = roots(p)
+        assert len(found) == p.degree
+        for r in found:
+            anchor = max(1.0, abs(r))
+            bound = math.fsum(abs(c) * anchor**i for i, c in enumerate(p.coefficients))
+            assert abs(p(r)) <= 1e-12 * bound
+
+
+def test_roots_overflowing_companion_raises_without_runtime_warning():
+    # the companion matrix holds -c_0/c_2 = -1e600, which overflows
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(RootConvergenceError) as info:
+            roots(Polynomial((1e300, 0.0, 1e-300)))
+    assert info.value.failed_indices == (0, 1)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 # ----------------------------------------------------------- configurations
@@ -233,6 +254,15 @@ def test_config_from_chain_n3():
     assert sum(1 for v in config.vortices if v.circulation == -1.0) == 3
     assert sum(1 for v in config.vortices if v.circulation == +1.0) == 6
     assert residual(config) < 1e-8
+
+
+def test_config_from_chain_propagates_root_failure(monkeypatch):
+    def fail(p):
+        raise RootConvergenceError("no roots", (0,))
+
+    monkeypatch.setattr(equilibria, "roots", fail)
+    with pytest.raises(RootConvergenceError):
+        config_from_adler_moser(adler_moser_chain(3, [1.0, 1.0]))
 
 
 def test_config_from_chain_generic_parameters(rng):
@@ -331,8 +361,6 @@ def test_newton_settings_validation():
         NewtonSettings(max_iterations=0)
     with pytest.raises(ValueError):
         NewtonSettings(tolerance=0.0)
-    with pytest.raises(ValueError):
-        NewtonSettings(damping=1.5)
 
 
 def test_force_jacobian_matches_finite_differences(rng):
