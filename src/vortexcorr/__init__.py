@@ -20,15 +20,6 @@ from .core import (
     residual,
     transform,
 )
-from .rational import (
-    EvaluationPoint,
-    PoleEvaluationError,
-    cross_term,
-    eval_G_double_sum,
-    eval_G_partial_fractions,
-    eval_T,
-    integrand,
-)
 from .equilibria import (
     AdlerMoserChain,
     DegenerateParametersError,
@@ -56,7 +47,7 @@ from .correlation import (
     pair_integral,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "__version__",
@@ -71,13 +62,6 @@ __all__ = [
     "is_equilibrium",
     "residual",
     "transform",
-    "EvaluationPoint",
-    "PoleEvaluationError",
-    "cross_term",
-    "eval_G_double_sum",
-    "eval_G_partial_fractions",
-    "eval_T",
-    "integrand",
     "AdlerMoserChain",
     "DegenerateParametersError",
     "NearMultipleRootWarning",

@@ -214,19 +214,13 @@ def cmd_correlation(params: dict) -> tuple[dict, int]:
         else default_epsilon_list(config)
     )
     radius = params.get("radius") or default_quadrature_spec(config).cutoff_radius
-    spec = QuadratureSpec(
-        epsilon=eps_values[0],
-        cutoff_radius=radius,
-        target_abs_error=params["target_error"],
-        max_cells=params["max_cells"],
-    )
     res = residual(config)
     allow = bool(params.get("allow_nonequilibrium"))
     payload: dict = {
         "residual": res,
         "epsilons": list(eps_values),
         "cutoff_radius": radius,
-        "target_abs_error": spec.target_abs_error,
+        "target_abs_error": params["target_error"],
     }
     if label is not None:
         payload["label"] = label
@@ -239,6 +233,12 @@ def cmd_correlation(params: dict) -> tuple[dict, int]:
             "pass --allow-nonequilibrium for truncated estimates only",
         )
     try:
+        spec = QuadratureSpec(
+            epsilon=eps_values[0],
+            cutoff_radius=radius,
+            target_abs_error=params["target_error"],
+            max_cells=params["max_cells"],
+        )
         report = correlation_limit(config, eps_values, spec)
     except ValueError as exc:
         raise CliFailure(EXIT_USAGE, str(exc)) from exc
@@ -273,13 +273,13 @@ def cmd_pair_integral(params: dict) -> tuple[dict, int]:
             f"--eps must be below half the separation |p-q|/2 = {0.5 * sep} (got {eps})",
         )
     radius = params.get("radius") or 50.0 * (1.0 + sep)
-    spec = QuadratureSpec(
-        epsilon=eps,
-        cutoff_radius=radius,
-        target_abs_error=params["target_error"],
-        max_cells=params["max_cells"],
-    )
     try:
+        spec = QuadratureSpec(
+            epsilon=eps,
+            cutoff_radius=radius,
+            target_abs_error=params["target_error"],
+            max_cells=params["max_cells"],
+        )
         result = pair_integral(p, q, eps, spec)
         mp = moebius_params(eps / sep)
     except ValueError as exc:

@@ -134,19 +134,15 @@ def _excisions_for(points: Sequence[complex], epsilon: float) -> list[DiskExcisi
 
 
 def _pair_tail(p: complex, q: complex, radius: float) -> complex:
-    """Analytic integral of the pair kernel over ``|z| > radius``.
+    """Exact integral of the pair kernel over ``|z| > radius``.
 
-    From the large-``|z|`` expansion only the rotation-invariant terms
-    survive the angular integral:
-    ``pi/R^2 + 2 pi conj(p) q / R^4 + O(R^-6)``.
+    For ``|p|, |q| < R`` the expansions of ``1/conj(z-p)^2`` and
+    ``1/(z-q)^2`` in powers of ``1/z`` converge there, and the angular
+    integral keeps only their diagonal terms:
+    ``pi sum_n (n+1) (conj(p) q)^n / R^(2n+2) = pi R^2 / (R^2 - conj(p) q)^2``.
     """
     r2 = radius * radius
-    return math.pi / r2 + 2.0 * math.pi * complex(p).conjugate() * q / (r2 * r2)
-
-
-def _pair_tail_budget(p: complex, q: complex, radius: float) -> float:
-    # conservative cover for the dropped expansion terms
-    return 100.0 * (1.0 + max(abs(p), abs(q))) ** 4 / radius**4
+    return math.pi * r2 / (r2 - complex(p).conjugate() * q) ** 2
 
 
 def _pair_run(
@@ -155,10 +151,10 @@ def _pair_run(
     """The two-disk integral of ``weight / (conj(z-p)^2 (z-q)^2)``.
 
     Integrates over the disk of radius ``spec.cutoff_radius`` about the
-    origin minus the two ``epsilon``-disks and adds the analytic far-field
-    tail.  Returns the corrected complex estimate, its error (adaptive error
-    plus the tail budget), the real part of the tail, the cells used and
-    whether the adaptive run converged.
+    origin minus the two ``epsilon``-disks and adds the exact far-field
+    tail.  Returns the corrected complex estimate, the adaptive error (the
+    tail adds none), the real part of the tail, the cells used and whether
+    the adaptive run converged.
     """
     if not epsilon < 0.5 * abs(p - q):
         raise ValueError(
@@ -175,8 +171,7 @@ def _pair_run(
         f, excisions, spec.cutoff_radius, spec.target_abs_error, spec.max_cells
     )
     tail = weight * _pair_tail(p, q, spec.cutoff_radius)
-    error = err + weight * _pair_tail_budget(p, q, spec.cutoff_radius)
-    return raw + tail, error, tail.real, cells, converged
+    return raw + tail, err, tail.real, cells, converged
 
 
 def pair_integral(
@@ -186,9 +181,11 @@ def pair_integral(
 
     Integrates ``1/(conj(z-p)^2 (z-q)^2)`` over the disk of radius
     ``spec.cutoff_radius`` centred at the pair midpoint, minus the two
-    ``epsilon``-disks, then adds the analytic far-field tail.  The exact
-    plane integral is zero, so the reported value -- the modulus of the
-    corrected complex estimate -- should not exceed the error estimate.
+    ``epsilon``-disks, then adds the exact far-field tail
+    ``pi R^2 / (R^2 - conj(p) q)^2`` (about the midpoint), so the error
+    estimate is the adaptive one alone.  The exact plane integral is zero,
+    so the reported value -- the modulus of the corrected complex
+    estimate -- should not exceed the error estimate.
     """
     p = complex(p)
     q = complex(q)

@@ -16,7 +16,7 @@ a backward-error bound.  Their last bits depend on the LAPACK build.
 
 from __future__ import annotations
 
-import math
+import cmath
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -85,49 +85,30 @@ class Polynomial:
 
     @classmethod
     def from_roots(cls, root_list: Sequence[complex], leading: complex = 1.0) -> "Polynomial":
-        coeffs = np.array([complex(leading)], dtype=np.complex128)
-        for r in root_list:
-            coeffs = np.convolve(coeffs, np.array([-complex(r), 1.0]))
-        return cls(tuple(coeffs))
+        return cls(tuple(complex(leading) * P.polyfromroots(root_list)))
 
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
     def __call__(self, z):
-        """Horner evaluation; works for scalars and numpy arrays alike."""
-        result = self.coefficients[-1]
-        if isinstance(z, np.ndarray):
-            result = np.full_like(z, result, dtype=np.complex128)
-        for c in reversed(self.coefficients[:-1]):
-            result = result * z + c
-        return result
+        """Evaluation at scalars and numpy arrays alike."""
+        return P.polyval(z, self.coefficients)
 
     def derivative(self) -> "Polynomial":
-        if self.degree == 0:
-            return Polynomial((0j,))
-        return Polynomial(
-            tuple(i * c for i, c in enumerate(self.coefficients) if i > 0)
-        )
+        return Polynomial(tuple(P.polyder(self.coefficients)))
 
     def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            prod = np.convolve(
-                np.asarray(self.coefficients), np.asarray(other.coefficients)
-            )
-            return Polynomial(tuple(prod))
-        return Polynomial(tuple(complex(other) * c for c in self.coefficients))
+        factor = other.coefficients if isinstance(other, Polynomial) else (complex(other),)
+        return Polynomial(tuple(P.polymul(self.coefficients, factor)))
 
     __rmul__ = __mul__
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coefficients), len(other.coefficients))
-        a = list(self.coefficients) + [0j] * (n - len(self.coefficients))
-        b = list(other.coefficients) + [0j] * (n - len(other.coefficients))
-        return Polynomial(tuple(x + y for x, y in zip(a, b)))
+        return Polynomial(tuple(P.polyadd(self.coefficients, other.coefficients)))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-1.0) * other
+        return Polynomial(tuple(P.polysub(self.coefficients, other.coefficients)))
 
 
 def _wronskian_coeffs(p: Polynomial, q: Polynomial) -> np.ndarray:
@@ -199,9 +180,9 @@ def _next_chain_polynomial(
 def adler_moser_chain(n: int, parameters: Sequence[complex] = ()) -> AdlerMoserChain:
     """Build the chain ``P_0 .. P_n`` for parameters ``tau_2 .. tau_n``.
 
-    ``parameters`` must have length ``max(n - 1, 0)``.  The construction is
-    validated against the chain invariants (degrees and the Wronskian
-    recurrence to relative coefficient error ``1e-10``).
+    ``parameters`` must be finite and have length ``max(n - 1, 0)``.  The
+    construction is validated against the chain invariants (degrees and the
+    Wronskian recurrence to relative coefficient error ``1e-10``).
     """
     if n < 0:
         raise ValueError("chain index must be nonnegative")
@@ -210,6 +191,8 @@ def adler_moser_chain(n: int, parameters: Sequence[complex] = ()) -> AdlerMoserC
         raise ValueError(
             f"chain of index {n} needs {max(n - 1, 0)} parameters, got {len(params)}"
         )
+    if not all(cmath.isfinite(t) for t in params):
+        raise ValueError(f"chain parameters must be finite (got {params})")
     polys = [Polynomial((1 + 0j,))]
     if n >= 1:
         polys.append(Polynomial((0j, 1 + 0j)))
@@ -225,16 +208,25 @@ def adler_moser_chain(n: int, parameters: Sequence[complex] = ()) -> AdlerMoserC
             )
     for k in range(1, n):
         defect = chain.wronskian_defect(k)
-        if defect > 1e-10:
+        # a NaN defect fails the gate too
+        if not defect <= 1e-10:
             raise ArithmeticError(
                 f"chain recurrence defect {defect:.3e} at step {k} exceeds 1e-10"
             )
     return chain
 
 
-def _close_pairs(z: np.ndarray, threshold: float) -> np.ndarray:
-    """Index pairs ``(i, j)``, ``i < j``, with ``|z_i - z_j| < threshold``, in row-major order."""
+def _close_pairs(z: np.ndarray) -> np.ndarray:
+    """Index pairs ``(i, j)``, ``i < j``, with ``|z_i - z_j| < 1e-6 * (1 + max |z|)``,
+    in row-major order."""
+    threshold = 1e-6 * (1.0 + float(np.abs(z).max()))
     return np.argwhere(np.triu(np.abs(z[:, None] - z[None, :]) < threshold, 1))
+
+
+def _coefficient_scale(p: Polynomial, z: np.ndarray) -> np.ndarray:
+    """``sum_i |c_i| max(1, |z|)^i``: the size of ``p(z)``'s terms, anchored at
+    1 so points near the origin keep a nonzero scale."""
+    return P.polyval(np.maximum(1.0, np.abs(z)), np.abs(p.coefficients))
 
 
 # backward-error bound that every returned root must meet
@@ -257,7 +249,6 @@ def roots(p: Polynomial) -> list[complex]:
     if p.degree < 1:
         raise ValueError("the polynomial must have degree at least 1")
 
-    abs_c = np.abs(np.asarray(p.coefficients, dtype=np.complex128))
     # overflow in the companion matrix or in the polish is reported below,
     # not as a RuntimeWarning
     with np.errstate(all="ignore"):
@@ -271,9 +262,7 @@ def roots(p: Polynomial) -> list[complex]:
         dv = p.derivative()(z)
         safe = dv != 0
         z = np.where(safe, z - pv / np.where(safe, dv, 1.0), z)
-        # coefficient scale anchored at 1 so roots at the origin stay reachable
-        scale = P.polyval(np.maximum(1.0, np.abs(z)), abs_c)
-        ok = np.isfinite(z) & (np.abs(p(z)) <= _ROOT_TOL * scale)
+        ok = np.isfinite(z) & (np.abs(p(z)) <= _ROOT_TOL * _coefficient_scale(p, z))
     if not ok.all():
         failed = tuple(int(i) for i in np.nonzero(~ok)[0])
         raise RootConvergenceError(
@@ -281,7 +270,7 @@ def roots(p: Polynomial) -> list[complex]:
             failed,
         )
 
-    for i, j in _close_pairs(z, 1e-6 * (1.0 + float(np.abs(z).max()))):
+    for i, j in _close_pairs(z):
         warnings.warn(
             f"roots {i} and {j} are within 1e-6 of each other; "
             "they may form a multiple root",
@@ -310,7 +299,7 @@ def config_from_adler_moser(chain: AdlerMoserChain) -> VortexConfiguration:
         positive = roots(p_high)
 
     points = np.array(negative + positive, dtype=np.complex128)
-    if len(_close_pairs(points, 1e-6 * (1.0 + float(np.abs(points).max())))):
+    if len(_close_pairs(points)):
         raise DegenerateParametersError(
             "two roots of the chain polynomials collide; "
             "the parameters are degenerate"
@@ -322,15 +311,13 @@ def config_from_adler_moser(chain: AdlerMoserChain) -> VortexConfiguration:
         if poly.degree < 2:
             continue
         dp = poly.derivative()
-        dscale = [abs(c) for c in dp.coefficients]
-        for r in root_list:
-            anchor = max(1.0, abs(r))
-            bound = math.fsum(s * anchor**i for i, s in enumerate(dscale))
-            if abs(dp(r)) <= 1e-6 * bound:
-                raise DegenerateParametersError(
-                    f"root {r:.6g} of a chain polynomial looks multiple "
-                    "(derivative vanishes there); the parameters are degenerate"
-                )
+        r = np.array(root_list)
+        flat = np.abs(dp(r)) <= 1e-6 * _coefficient_scale(dp, r)
+        if flat.any():
+            raise DegenerateParametersError(
+                f"root {complex(r[flat][0]):.6g} of a chain polynomial looks multiple "
+                "(derivative vanishes there); the parameters are degenerate"
+            )
 
     try:
         config = VortexConfiguration(

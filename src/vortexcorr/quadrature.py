@@ -17,8 +17,9 @@ Every cell is a rectangle in (r, theta) carrying the polar Jacobian.
 Cells are estimated with two independent Gauss-Legendre product rules
 (7x7 and 11x11); their difference drives global greedy refinement,
 splitting the worst cell into four until the summed error estimate meets
-the target or the cell budget runs out.  Refinement order and the final
-compensated reduction are fixed, so results are bit-for-bit reproducible.
+the target or the cell budget runs out.  Refinement order is fixed and the
+final reduction is ``math.fsum``, correctly rounded whatever the order of
+its terms, so results are bit-for-bit reproducible.
 
 Cells are estimated in batches from one region, with one call of ``f`` on
 all the batch's nodes: the four children of a split together, and the
@@ -272,7 +273,7 @@ def _adaptive(
         # than claim an error bar for work beyond it
         return 0j, math.inf, 0, False
     heap: list[tuple[float, int, int, _Cell, complex]] = []
-    frozen: list[tuple[int, complex, float]] = []
+    frozen: list[tuple[complex, float]] = []
     seq = 0
     cells_used = 0
     running_err = 0.0
@@ -287,7 +288,7 @@ def _adaptive(
             running_err += err
 
     def exact_err() -> float:
-        return math.fsum(-h[0] for h in heap) + math.fsum(e for _, _, e in frozen)
+        return math.fsum(-h[0] for h in heap) + math.fsum(e for _, e in frozen)
 
     # one batch per ring: a whole region at once would hold its full node set
     # (and f's per-node temporaries) in memory
@@ -309,12 +310,12 @@ def _adaptive(
         if cells_used + 4 > max_cells:
             budget_ok = False
             break
-        neg_err, s, region_idx, cell, value = heapq.heappop(heap)
+        neg_err, _, region_idx, cell, value = heapq.heappop(heap)
         err = -neg_err
         r0, r1, t0, t1 = cell
         if (r1 - r0) <= _MIN_REL_CELL * (1.0 + r1) or (t1 - t0) <= _MIN_REL_CELL:
             # too small to split usefully; its error estimate stays in the total
-            frozen.append((s, value, err))
+            frozen.append((value, err))
             continue
         running_err -= err
         rm = 0.5 * (r0 + r1)
@@ -327,14 +328,13 @@ def _adaptive(
         if pops % _RESYNC_EVERY == 0:
             running_err = exact_err()
 
-    entries = [(s, v, -ne) for ne, s, _, _, v in heap]
-    entries.extend(frozen)
-    entries.sort(key=lambda item: item[0])
+    # math.fsum is correctly rounded, so the order of the entries is irrelevant
+    entries = [(v, -ne) for ne, _, _, _, v in heap] + frozen
     value = complex(
-        math.fsum(v.real for _, v, _ in entries),
-        math.fsum(v.imag for _, v, _ in entries),
+        math.fsum(v.real for v, _ in entries),
+        math.fsum(v.imag for v, _ in entries),
     )
-    error = math.fsum(e for _, _, e in entries)
+    error = math.fsum(e for _, e in entries)
     converged = budget_ok and error <= target_abs_error
     return value, error, cells_used, converged
 

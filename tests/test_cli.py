@@ -231,6 +231,13 @@ def test_correlation_bad_eps_list(capsys, collinear_file):
     assert code == 2
 
 
+def test_correlation_infinite_eps_exit_2(capsys, collinear_file):
+    code, out, err = run_cli(capsys, "correlation", collinear_file, "--eps-list", "inf,0.1")
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 # -------------------------------------------------------------- pair-integral
 
 
@@ -266,6 +273,13 @@ def test_pair_integral_eps_too_large_exit_2(capsys):
     code, out, err = run_cli(capsys, "pair-integral", "--p", "0,0", "--q", "1,0", "--eps", "0.6")
     assert code == 2
     assert "half the separation" in err
+
+
+def test_pair_integral_infinite_point_exit_2(capsys):
+    code, out, err = run_cli(capsys, "pair-integral", "--p", "inf,0", "--q", "1,0", "--eps", "0.1")
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 # --------------------------------------------------------------- adler-moser
@@ -330,6 +344,14 @@ def test_adler_moser_n3_refined(capsys):
 def test_adler_moser_wrong_parameter_count(capsys):
     code, out, err = run_cli(capsys, "adler-moser", "--n", "3", "--tau-list", "1")
     assert code == 2
+
+
+def test_adler_moser_infinite_tau_exit_2(capsys):
+    # rejected before the chain is built, so no overflow warning either
+    code, out, err = run_cli(capsys, "adler-moser", "--n", "2", "--tau-list", "inf")
+    assert code == 2
+    assert err.startswith("error: chain parameters must be finite")
+    assert "Traceback" not in err
 
 
 # ------------------------------------------------------------------- refine

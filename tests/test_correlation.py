@@ -20,8 +20,8 @@ from vortexcorr import (
     pair_integral,
     transform,
 )
-from vortexcorr.correlation import _excisions_for, _far_field_budget
-from vortexcorr.quadrature import integrate_disk, integrate_excised_disk
+from vortexcorr.correlation import _excisions_for, _far_field_budget, _pair_tail
+from vortexcorr.quadrature import _integrate_annuli, integrate_disk, integrate_excised_disk
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +104,19 @@ def test_pair_integral_preconditions():
     small = QuadratureSpec(epsilon=0.1, cutoff_radius=3.0)
     with pytest.raises(ValueError, match="cutoff_radius"):
         pair_integral(0.0, 1.0, 0.1, small)
+
+
+def test_pair_tail_is_exact_on_an_annulus():
+    # the difference of two tails is the pair kernel's integral over
+    # 3 < |z| < 6; a truncated tail series misses it by 6e-4 or more
+    for p, q in ((0.2j, 1.0 + 0.5j), (-1.0, -0.5 + 0j), (0.7 - 0.4j, -0.3 + 1.1j)):
+
+        def f(zs, p=p, q=q):
+            return 1.0 / (np.conj(zs - p) ** 2 * (zs - q) ** 2)
+
+        value, err, _, converged = _integrate_annuli(f, [0j], 3.0, 6.0, 1e-14, 10**5)
+        assert converged and err < 1e-14
+        assert abs(_pair_tail(p, q, 3.0) - _pair_tail(p, q, 6.0) - value) < 1e-12
 
 
 def test_engine_against_contour_oracle():

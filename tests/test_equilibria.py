@@ -76,6 +76,18 @@ def test_chain_parameter_count_validation():
         adler_moser_chain(-1)
 
 
+def test_chain_rejects_non_finite_parameters():
+    for tau in (math.nan, math.inf, complex(0.0, -math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            adler_moser_chain(3, [tau, 1.0])
+
+
+def test_chain_defect_gate_fails_on_nan(monkeypatch):
+    monkeypatch.setattr(equilibria.AdlerMoserChain, "wronskian_defect", lambda self, k: math.nan)
+    with pytest.raises(ArithmeticError, match="defect nan"):
+        adler_moser_chain(3, [1.0, 1.0])
+
+
 def test_chain_n2_explicit():
     tau = 0.7 + 0.2j
     ch = adler_moser_chain(2, [tau])

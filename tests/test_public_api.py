@@ -1,0 +1,50 @@
+"""The public surface is pinned: any change to it shows up as a diff here."""
+
+import vortexcorr
+import vortexcorr.rational
+
+PUBLIC_NAMES = [
+    "AdlerMoserChain",
+    "ConfigurationError",
+    "CorrelationReport",
+    "DegenerateParametersError",
+    "DiskExcision",
+    "MoebiusParams",
+    "NearMultipleRootWarning",
+    "NewtonSettings",
+    "Polynomial",
+    "QuadratureResult",
+    "QuadratureSpec",
+    "RefinementResult",
+    "RootConvergenceError",
+    "Similarity",
+    "Vortex",
+    "VortexConfiguration",
+    "__version__",
+    "adler_moser_chain",
+    "collinear_triple",
+    "config_from_adler_moser",
+    "correlation_A_eps",
+    "correlation_limit",
+    "cross_pair_truncated",
+    "default_epsilon_list",
+    "default_quadrature_spec",
+    "energy",
+    "force",
+    "forces",
+    "gradient",
+    "is_equilibrium",
+    "moebius_params",
+    "pair_integral",
+    "refine_equilibrium",
+    "residual",
+    "roots",
+    "transform",
+]
+
+
+def test_public_surface_is_pinned():
+    assert sorted(vortexcorr.__all__) == PUBLIC_NAMES
+    for name in vortexcorr.__all__:
+        assert hasattr(vortexcorr, name), name
+    assert vortexcorr.rational.__all__ == ["integrand_values"]
