@@ -34,7 +34,7 @@ from .equilibria import (
     refine_equilibrium,
     roots,
 )
-from .quadrature import DiskExcision, QuadratureResult, QuadratureSpec
+from .quadrature import QuadratureResult, QuadratureSpec
 from .correlation import (
     CorrelationReport,
     MoebiusParams,
@@ -47,7 +47,7 @@ from .correlation import (
     pair_integral,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [
     "__version__",
@@ -74,7 +74,6 @@ __all__ = [
     "config_from_adler_moser",
     "refine_equilibrium",
     "roots",
-    "DiskExcision",
     "QuadratureResult",
     "QuadratureSpec",
     "CorrelationReport",

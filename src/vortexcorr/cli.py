@@ -524,7 +524,11 @@ def _run_replay(manifest_path: str) -> int:
     command = data["command"]
     if command not in HANDLERS:
         raise CliFailure(EXIT_USAGE, f"manifest names unknown command {command!r}")
-    payload, code = HANDLERS[command](dict(data["parameters"]))
+    try:
+        payload, code = HANDLERS[command](dict(data["parameters"]))
+    except (KeyError, TypeError, ValueError) as exc:  # argparse never saw them
+        message = f"{manifest_path}: malformed {command} parameters ({exc!r})"
+        raise CliFailure(EXIT_USAGE, message) from exc
     payload = _strict_json(payload)
     _emit_json(payload)
     recorded = _dumps(_strict_json(data.get("results")))

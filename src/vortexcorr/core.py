@@ -187,9 +187,8 @@ def energy(config: VortexConfiguration) -> float:
     """
     d = np.asarray(config.circulations)
     j, k = np.triu_indices(len(config), 1)
-    w = config._differences[j, k]
-    # 2 * d_j d_k * log(1/|diff|) == -d_j d_k * log(|diff|^2)
-    return math.fsum(-(d[j] * d[k]) * np.log(w.real * w.real + w.imag * w.imag))
+    # the distance itself, not its square, so no pair overflows
+    return math.fsum(-2.0 * (d[j] * d[k]) * np.log(config._distances[j, k]))
 
 
 def force(config: VortexConfiguration, j: int) -> complex:

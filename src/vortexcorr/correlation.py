@@ -11,17 +11,22 @@ far-field tail, and extrapolate a short list of shrinking ``eps`` values.
 excised-disk run gives ``A_eps`` at the largest ``eps_1``; every smaller
 ``eps_i`` adds the rings ``eps_i < |z - a_k| < eps_1``, integrated together
 in one adaptive run with a polar region per vortex.  This is exact, not an
-approximation: each ring lies inside the cutoff plateau of the ``eps_1``
-excision (``plateau >= 1.05 eps_1``), where the main run's integrand is
-identically zero, and the rings are disjoint because ``eps_1`` is below
-half the minimum separation.  So
-``A_eps_i = A_eps_1 + sum_k ring_k(eps_i, eps_1)``.  Estimate ``i`` reports
-the cells its value rests on -- the main run's, which every estimate
-shares, plus its own ring's -- and the sum of the two adaptive errors.
-Because the main run's error is common to every estimate it cancels in
-differences and passes through the extrapolation once (the Lagrange weights
-sum to one), like the far-field budget; only the ring errors are
-independent noise, amplified by the extrapolation weights.
+approximation: the main run covers exactly ``B_R`` minus the
+``eps_1``-disks, and the rings fill the part of those disks outside the
+``eps_i``-disks, disjointly because ``eps_1`` is below half the minimum
+separation.  So ``A_eps_i = A_eps_1 + sum_k ring_k(eps_i, eps_1)``.
+Estimate ``i`` reports the cells its value rests on -- the main run's,
+which every estimate shares, plus its own ring's -- and the sum of the two
+adaptive errors.  Because the main run's error is common to every estimate
+it cancels in differences and passes through the extrapolation once (the
+Lagrange weights sum to one), like the far-field budget; only the ring
+errors are independent noise, amplified by the extrapolation weights.
+
+Every integral of a configuration runs in the frame ``(z - t) / 2^k``
+that :func:`_frame` picks from the centroid and the diameter, so a
+configuration far from the origin, or at any scale, meets the same
+floating-point range as one of unit size.  Values and errors come back
+to the caller's units by a power-of-two factor, which is exact.
 
 The two-disk identity -- the integral of
 ``1/(conj(z-p)^2 (z-q)^2)`` over the plane minus eps-disks at ``p`` and
@@ -43,7 +48,6 @@ import numpy as np
 from .core import VortexConfiguration
 from .rational import integrand_values
 from .quadrature import (
-    DiskExcision,
     QuadratureResult,
     QuadratureSpec,
     _integrate_annuli,
@@ -105,34 +109,6 @@ def moebius_params(epsilon: float) -> MoebiusParams:
     return MoebiusParams(epsilon=epsilon, a=a, b=b, r1=r1, r2=1.0 / r1)
 
 
-def _excisions_for(points: Sequence[complex], epsilon: float) -> list[DiskExcision]:
-    """Partition-of-unity excisions around the given points.
-
-    The cutoff plateau must cover the excised radius and the supports of
-    neighbouring excisions must stay disjoint.  Every caller first checks
-    ``epsilon`` against half the minimum pairwise distance of the same
-    points, computed with the same rounding, so the excised disks never
-    overlap here.
-    """
-    points = [complex(p) for p in points]
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    out = []
-    for i, c in enumerate(points):
-        mdist = min(abs(c - q) for j, q in enumerate(points) if j != i)
-        plateau = max(1.05 * epsilon, 0.25 * mdist)
-        support = 0.45 * mdist
-        if plateau >= 0.98 * support:
-            support = min(0.495 * mdist, 1.35 * plateau)
-        if plateau >= 0.98 * support:
-            raise ValueError(
-                f"excision radius {epsilon} leaves no room for the cutoff "
-                f"around point {i} (nearest neighbour at distance {mdist})"
-            )
-        out.append(DiskExcision(center=c, radius=epsilon, plateau=plateau, support=support))
-    return out
-
-
 def _pair_tail(p: complex, q: complex, radius: float) -> complex:
     """Exact integral of the pair kernel over ``|z| > radius``.
 
@@ -160,7 +136,6 @@ def _pair_run(
         raise ValueError(
             f"epsilon {epsilon} must be below half the pair separation {0.5 * abs(p - q)}"
         )
-    excisions = _excisions_for([p, q], epsilon)
 
     def f(zs: np.ndarray) -> np.ndarray:
         left = np.conj(zs - p)
@@ -168,7 +143,7 @@ def _pair_run(
         return weight * (1.0 / (left * left * right * right))
 
     raw, err, cells, converged = integrate_excised_disk(
-        f, excisions, spec.cutoff_radius, spec.target_abs_error, spec.max_cells
+        f, [p, q], epsilon, spec.cutoff_radius, spec.target_abs_error, spec.max_cells
     )
     tail = weight * _pair_tail(p, q, spec.cutoff_radius)
     return raw + tail, err, tail.real, cells, converged
@@ -225,6 +200,35 @@ def _validate_excision(config: VortexConfiguration, spec: QuadratureSpec) -> Non
     _validate_radius(config, spec)
 
 
+def _frame(
+    config: VortexConfiguration, spec: QuadratureSpec
+) -> tuple[VortexConfiguration, QuadratureSpec, float]:
+    """``config`` and ``spec`` in the frame ``w = (z - t) / 2^k``, and ``2^-k``.
+
+    ``2^k`` is the binade of the diameter and ``t`` the centroid rounded to a
+    multiple of ``2^k`` per component, so the frame diameter lies in
+    ``[1/2, 1)`` and ``B_R`` is centred at ``t``.  Lengths scale by ``2^-k`` and integrals
+    by ``4^-k``, exactly; ``t = 0`` when the centroid lies within ``2^(k-1)``
+    of the origin, so such configurations keep their bits.
+    """
+    k = math.frexp(config.diameter)[1]
+    shrink = math.ldexp(1.0, -k)
+    target = spec.target_abs_error / shrink / shrink
+    if not target < math.inf:
+        raise ValueError(
+            f"the coordinate scale 2**{k} puts the error target "
+            f"{spec.target_abs_error} out of floating-point range"
+        )
+    xy = np.array([(a.real, a.imag) for a in config.positions])
+    xy = (xy - np.round(xy.mean(axis=0) * shrink) / shrink) * shrink
+    frame = VortexConfiguration.from_coordinates(
+        (x, y, d) for (x, y), d in zip(xy.tolist(), config.circulations)
+    )
+    eps, radius = spec.epsilon * shrink, spec.cutoff_radius * shrink
+    spec = replace(spec, epsilon=eps, cutoff_radius=radius, target_abs_error=target)
+    return frame, spec, shrink
+
+
 def correlation_A_eps(
     config: VortexConfiguration, spec: QuadratureSpec
 ) -> QuadratureResult:
@@ -242,20 +246,21 @@ def correlation_A_eps(
             value=0.0, abs_error_estimate=0.0, tail_correction=0.0, cells_used=0
         )
     _validate_excision(config, spec)
-    excisions = _excisions_for(config.positions, spec.epsilon)
+    frame, spec, shrink = _frame(config, spec)
+    radius = spec.cutoff_radius
 
     def f(zs: np.ndarray) -> np.ndarray:
-        return integrand_values(config, zs)
+        return integrand_values(frame, zs)
 
     raw, err, cells, converged = integrate_excised_disk(
-        f, excisions, spec.cutoff_radius, spec.target_abs_error, spec.max_cells
+        f, frame.positions, spec.epsilon, radius, spec.target_abs_error, spec.max_cells
     )
-    r2 = spec.cutoff_radius * spec.cutoff_radius
-    tail = math.pi * (sum(d) ** 4 - sum(x**4 for x in d)) / r2
+    area = shrink * shrink
+    tail = math.pi * (sum(d) ** 4 - sum(x**4 for x in d)) / (radius * radius)
     return QuadratureResult(
-        value=raw.real + tail,
-        abs_error_estimate=err + _far_field_budget(config, spec.cutoff_radius),
-        tail_correction=tail,
+        value=(raw.real + tail) * area,
+        abs_error_estimate=(err + _far_field_budget(frame, radius)) * area,
+        tail_correction=tail * area,
         cells_used=cells,
         converged=converged,
     )
@@ -282,14 +287,16 @@ def cross_pair_truncated(
     if j == k:
         raise ValueError("the pair indices must differ")
     _validate_radius(config, spec)
-    d = config.circulations
+    frame, spec, shrink = _frame(config, spec)
+    a, d = frame.positions, config.circulations
     estimate, error, tail, cells, converged = _pair_run(
-        config.positions[j], config.positions[k], epsilon, (d[j] * d[k]) ** 2, spec
+        a[j], a[k], epsilon * shrink, (d[j] * d[k]) ** 2, spec
     )
+    area = shrink * shrink
     return QuadratureResult(
-        value=estimate.real,
-        abs_error_estimate=error + abs(estimate.imag),
-        tail_correction=tail,
+        value=estimate.real * area,
+        abs_error_estimate=(error + abs(estimate.imag)) * area,
+        tail_correction=tail * area,
         cells_used=cells,
         converged=converged,
     )
@@ -389,18 +396,24 @@ def correlation_limit(
         raise ValueError("epsilons must be positive")
     target = spec.target_abs_error
     # a single vortex has no rings to integrate: every estimate is exactly 0
-    rings = [(0j, 0.0, 0, True)] * (len(eps) - 1)
+    rings = [(0.0, 0.0, 0, True)] * (len(eps) - 1)
     main_spec = replace(spec, epsilon=eps[0])
     if len(config) > 1:
         _validate_excision(config, main_spec)
+        frame, frame_spec, shrink = _frame(config, main_spec)
+        area = shrink * shrink
+        half = 0.5 * frame_spec.target_abs_error
 
         def f(zs: np.ndarray) -> np.ndarray:
-            return integrand_values(config, zs)
+            return integrand_values(frame, zs)
 
-        rings = [
-            _integrate_annuli(f, config.positions, e, eps[0], 0.5 * target, spec.max_cells)
-            for e in eps[1:]
-        ]
+        rings = []
+        for e in eps[1:]:
+            raw, err, cells, converged = _integrate_annuli(
+                f, frame.positions, e * shrink, frame_spec.epsilon, half, spec.max_cells
+            )
+            # only the real part is used, in the caller's units
+            rings.append((raw.real * area, err * area, cells, converged))
         # a ring that missed its half of the target is flagged unconverged;
         # the main run still keeps at least the other half
         worst = max(err for _, err, _, _ in rings)
@@ -412,7 +425,7 @@ def correlation_limit(
     main = correlation_A_eps(config, main_spec)
     estimates = (main,) + tuple(
         QuadratureResult(
-            value=main.value + raw.real,
+            value=main.value + raw,
             abs_error_estimate=main.abs_error_estimate + err,
             tail_correction=main.tail_correction,
             cells_used=main.cells_used + cells,

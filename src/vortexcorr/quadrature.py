@@ -13,6 +13,11 @@ and falls to 0 at the support radius.  The patch integrates
 which vanishes identically on every excised disk, so no cell ever
 straddles a domain boundary and the geometry is exact.
 
+Callers name the centres, ``eps`` and ``R``; each hole's plateau and
+support follow here from its room, the distance to the nearest other
+centre or to the truncation circle (counted at ``2 (R - |c|)``).  Supports
+are at most ``0.495 room``, so they are disjoint and lie inside ``B_R``.
+
 Every cell is a rectangle in (r, theta) carrying the polar Jacobian.
 Cells are estimated with two independent Gauss-Legendre product rules
 (7x7 and 11x11); their difference drives global greedy refinement,
@@ -45,7 +50,6 @@ import numpy as np
 __all__ = [
     "QuadratureSpec",
     "QuadratureResult",
-    "DiskExcision",
     "integrate_excised_disk",
     "integrate_disk",
 ]
@@ -97,26 +101,6 @@ class QuadratureResult:
             raise ValueError("abs_error_estimate must be nonnegative")
         if self.cells_used < 0:
             raise ValueError("cells_used must be nonnegative")
-
-
-@dataclass(frozen=True)
-class DiskExcision:
-    """An excised disk with the radii of its partition-of-unity cutoff.
-
-    The cutoff is identically 1 for ``r <= plateau`` (which must cover the
-    excised ``radius``) and identically 0 for ``r >= support``.
-    """
-
-    center: complex
-    radius: float
-    plateau: float
-    support: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.radius <= self.plateau < self.support:
-            raise ValueError(
-                "need 0 < radius <= plateau < support for a usable excision"
-            )
 
 
 def _smooth_step(t: np.ndarray) -> np.ndarray:
@@ -210,12 +194,12 @@ def _cell_estimates(
     return values, [abs(hi - lo) for hi, lo in zip(values, i_low.tolist())]
 
 
-def _geometric_edges(inner: float, outer: float, ratio: float = 2.0) -> list[float]:
-    """Radial breakpoints from inner to outer with roughly geometric growth."""
+def _geometric_edges(inner: float, outer: float) -> list[float]:
+    """Radial breakpoints from inner to outer, doubling each time."""
     edges = [inner]
     r = inner
-    while r * ratio < outer * 0.999:
-        r *= ratio
+    while r * 2.0 < outer * 0.999:
+        r *= 2.0
         edges.append(r)
     edges.append(outer)
     return edges
@@ -235,18 +219,14 @@ def _polar_cells(
 
 
 def _background_cells(
-    index: int, excisions: Sequence[DiskExcision], cutoff_radius: float
+    index: int, patches: Sequence[_Region], cutoff_radius: float
 ) -> list[tuple[int, _Cell]]:
     marks = {0.0, cutoff_radius}
-    for exc in excisions:
-        for r in (
-            abs(exc.center) - exc.support,
-            abs(exc.center),
-            abs(exc.center) + exc.support,
-        ):
+    for p in patches:
+        for r in (abs(p.center) - p.support, abs(p.center), abs(p.center) + p.support):
             if 0.0 < r < cutoff_radius:
                 marks.add(r)
-    near = max((abs(e.center) + e.support for e in excisions), default=0.0)
+    near = max((abs(p.center) + p.support for p in patches), default=0.0)
     start = near if near > 0.0 else cutoff_radius / 64.0
     for r in _geometric_edges(max(start, cutoff_radius / 4096.0), cutoff_radius):
         if 0.0 < r < cutoff_radius:
@@ -341,50 +321,53 @@ def _adaptive(
 
 def integrate_excised_disk(
     f: Callable[[np.ndarray], np.ndarray],
-    excisions: Sequence[DiskExcision],
+    centers: Sequence[complex],
+    epsilon: float,
     cutoff_radius: float,
     target_abs_error: float,
     max_cells: int,
 ) -> tuple[complex, float, int, bool]:
-    """Integrate ``f`` over ``B_cutoff_radius`` minus the excised disks.
+    """Integrate ``f`` over ``B_cutoff_radius`` minus the ``epsilon``-disks
+    about ``centers``, which the caller keeps disjoint.
 
     ``f`` receives a 1-D array of complex points and must return an array of
     values (real or complex).  Returns ``(value, error_estimate, cells_used,
     converged)``.
     """
-    for exc in excisions:
-        if abs(exc.center) + exc.support >= cutoff_radius:
+    if not epsilon > 0.0:
+        raise ValueError("epsilon must be positive")
+    centers = np.array(centers, dtype=np.complex128)
+    moduli = np.hypot(centers.real, centers.imag)
+    for c, m in zip(centers.tolist(), moduli.tolist()):
+        if not m < cutoff_radius:
             raise ValueError(
-                f"excision at {exc.center} with support {exc.support} does not "
-                f"fit inside the cutoff radius {cutoff_radius}"
+                f"excision at {c} does not fit inside the cutoff radius {cutoff_radius}"
             )
-    for i in range(len(excisions)):
-        for j in range(i + 1, len(excisions)):
-            gap = abs(excisions[i].center - excisions[j].center)
-            if excisions[i].support + excisions[j].support >= gap:
-                raise ValueError(
-                    f"excisions {i} and {j} overlap: supports "
-                    f"{excisions[i].support} + {excisions[j].support} >= {gap}"
-                )
-
-    regions = [
-        _Region(center=e.center, plateau=e.plateau, support=e.support)
-        for e in excisions
-    ]
-    holes = None
-    if excisions:
-        holes = (
-            np.array([e.center for e in excisions], dtype=np.complex128),
-            np.array([e.plateau for e in excisions]),
-            np.array([e.support for e in excisions]),
+    # room: distance to the nearest other centre or, at twice the distance to
+    # it, to the truncation circle; np.hypot rounds like Python's complex abs
+    diff = centers[:, None] - centers[None, :]
+    room = np.hypot(diff.real, diff.imag)
+    np.fill_diagonal(room, 2.0 * (cutoff_radius - moduli))
+    room = room.min(axis=1, initial=math.inf)
+    plateaus = np.maximum(1.05 * epsilon, 0.25 * room)
+    supports = 0.45 * room
+    crowded = plateaus >= 0.98 * supports
+    supports[crowded] = np.minimum(0.495 * room, 1.35 * plateaus)[crowded]
+    tight = np.flatnonzero(plateaus >= 0.98 * supports)
+    if len(tight):
+        i = tight[0]
+        raise ValueError(
+            f"excision radius {epsilon} leaves no room for the cutoff "
+            f"around point {i} (nearest neighbour at distance {room[i]})"
         )
-    regions.append(_Region(center=0j, holes=holes))
+
+    holes = (centers, plateaus, supports)
+    patches = [_Region(c, p, s) for c, p, s in zip(*(a.tolist() for a in holes))]
     cells: list[tuple[int, _Cell]] = []
-    for idx, exc in enumerate(excisions):
-        # the support always lies past the plateau (DiskExcision checks it)
-        radial = _geometric_edges(exc.radius, exc.plateau) + [exc.support]
-        cells.extend(_polar_cells(idx, radial))
-    cells.extend(_background_cells(len(regions) - 1, excisions, cutoff_radius))
+    for idx, p in enumerate(patches):
+        cells.extend(_polar_cells(idx, _geometric_edges(epsilon, p.plateau) + [p.support]))
+    cells.extend(_background_cells(len(patches), patches, cutoff_radius))
+    regions = patches + [_Region(center=0j, holes=holes)]
     return _adaptive(f, regions, cells, target_abs_error, max_cells)
 
 

@@ -520,3 +520,71 @@ def test_repeated_cli_runs_are_bit_identical(capsys, collinear_file):
 def test_usage_error_exit_2(capsys):
     code, out, err = run_cli(capsys, "no-such-command")
     assert code == 2
+
+
+# --------------------------------------------------- exit-code contract sweep
+
+COLLINEAR_ROWS = [(-1.0, 0.0, 1.0), (0.0, 0.0, -0.5), (1.0, 0.0, 1.0)]
+
+
+def _moved(scale, shift=0.0):
+    return [(scale * x + shift, y, d) for x, y, d in COLLINEAR_ROWS]
+
+
+# (command, configuration rows or manifest parameters, expected exit code)
+CONTRACT_CASES = {
+    "correlation-translated": ("correlation", _moved(1.0, 1000.0), 0),
+    "correlation-scale-1e100": ("correlation", _moved(1e100), 0),
+    "correlation-scale-1e104": ("correlation", _moved(1e104), 0),
+    "correlation-scale-1e160": ("correlation", _moved(1e160), 2),
+    "energy-far-apart": ("energy", [(-1e160, 0.0, 1.0), (1e160, 0.0, 1.0)], 0),
+    "replay-refine-zero-tol": ("refine", {"free": "all", "tol": 0, "max_iter": 50}, 2),
+    "replay-refine-no-free": ("refine", {"tol": 1e-12, "max_iter": 50}, 2),
+    "replay-check-text-tol": ("check", {"tol": "x"}, 2),
+    "replay-correlation-text-max-cells": (
+        "correlation",
+        {"target_error": 1e-5, "max_cells": "5"},
+        2,
+    ),
+    "replay-correlation-null-target": (
+        "correlation",
+        {"target_error": None, "max_cells": 2_000_000},
+        2,
+    ),
+    "replay-energy-no-parameters": ("energy", None, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
+def test_exit_code_contract(capsys, tmp_path, case):
+    command, data, expected = CONTRACT_CASES[case]
+    if case.startswith("replay-"):
+        parameters = {}
+        if data is not None:
+            config = write_config(tmp_path / "collinear.json", COLLINEAR_ROWS)
+            parameters = {"config_path": config, **data}
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(
+            json.dumps({"command": command, "parameters": parameters, "results": {}})
+        )
+        argv = ["replay", str(manifest)]
+    else:
+        argv = [command, write_config(tmp_path / "config.json", data)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == expected, err
+    assert code in (0, 2, 3, 4, 5)
+    assert "Traceback" not in out + err
+    if command == "correlation" and code == 0:
+        payload = strict_loads(out)
+        assert abs(payload["extrapolated_limit"]) <= payload["extrapolation_error"]
+    if expected == 2:
+        assert err.startswith("error: ")
+
+
+def test_correlation_translated_reproduces_centred_payload(capsys, tmp_path):
+    centred = write_config(tmp_path / "centred.json", COLLINEAR_ROWS)
+    moved = write_config(tmp_path / "moved.json", _moved(1.0, 1000.0))
+    _, expected, _ = run_cli(capsys, "correlation", centred)
+    code, out, _ = run_cli(capsys, "correlation", moved)
+    assert code == 0
+    assert out == expected

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 
@@ -66,6 +67,14 @@ def test_energy_unit_distance_is_zero():
 def test_energy_distance_e():
     config = VortexConfiguration.from_pairs([(0.0, 1.0), (math.e, 1.0)])
     assert energy(config) == pytest.approx(-2.0, abs=1e-14)
+
+
+def test_energy_of_a_far_apart_pair_is_finite():
+    # squaring a separation of 2e160 would overflow before the log
+    config = VortexConfiguration.from_pairs([(-1e160, 1.0), (1e160, 1.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert energy(config) == pytest.approx(-2.0 * math.log(2e160), rel=1e-15)
 
 
 def test_energy_collinear_triple_matches_oracle():

@@ -20,7 +20,7 @@ from vortexcorr import (
     pair_integral,
     transform,
 )
-from vortexcorr.correlation import _excisions_for, _far_field_budget, _pair_tail
+from vortexcorr.correlation import _far_field_budget, _pair_tail
 from vortexcorr.quadrature import _integrate_annuli, integrate_disk, integrate_excised_disk
 
 
@@ -128,9 +128,8 @@ def test_engine_against_contour_oracle():
     def kernel(zs):
         return 1.0 / (zs**2 * (zs - 1.0) ** 2)
 
-    excisions = _excisions_for([0j, 1 + 0j], eps)
     value, err, cells, converged = integrate_excised_disk(
-        kernel, excisions, radius, 1e-9, 10**6
+        kernel, [0j, 1 + 0j], eps, radius, 1e-9, 10**6
     )
     assert converged
 
@@ -198,6 +197,33 @@ def test_similarity_covariance():
     base = correlation_A_eps(base_cfg, QuadratureSpec(0.2, 50.0, 1e-5))
     scaled = correlation_A_eps(scaled_cfg, QuadratureSpec(0.2 * s, 50.0 * s, 1e-5))
     assert abs(base.value - s * s * scaled.value) < 1e-4
+
+
+def test_translation_and_binary_scaling_keep_bits():
+    """The quadrature frame absorbs a translation and a power-of-two scale
+    exactly, so such copies reproduce the collinear triple's bits."""
+    base = collinear_triple()
+    eps = default_epsilon_list(base)
+    spec = default_quadrature_spec(base)
+    report = correlation_limit(base, eps, spec)
+    pair = cross_pair_truncated(base, 0, 1, 0.1, spec)
+
+    moved = transform(base, Similarity(translation=1000.0 - 3000.0j))
+    assert correlation_limit(moved, eps, spec) == report
+    assert cross_pair_truncated(moved, 0, 1, 0.1, spec) == pair
+
+    s = 2.0**300
+    big = transform(base, Similarity(scale=s))
+    big_spec = QuadratureSpec(
+        spec.epsilon * s, spec.cutoff_radius * s, spec.target_abs_error / (s * s)
+    )
+    scaled = correlation_limit(big, [e * s for e in eps], big_spec)
+    assert scaled.extrapolated_limit == report.extrapolated_limit / (s * s)
+    assert scaled.extrapolation_error == report.extrapolation_error / (s * s)
+    for big_est, est in zip(scaled.estimates, report.estimates):
+        assert big_est.value == est.value / (s * s)
+        assert big_est.abs_error_estimate == est.abs_error_estimate / (s * s)
+        assert big_est.cells_used == est.cells_used
 
 
 def test_a_eps_budget_exhaustion():

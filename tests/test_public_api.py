@@ -8,7 +8,6 @@ PUBLIC_NAMES = [
     "ConfigurationError",
     "CorrelationReport",
     "DegenerateParametersError",
-    "DiskExcision",
     "MoebiusParams",
     "NearMultipleRootWarning",
     "NewtonSettings",

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -6,13 +7,14 @@ import pytest
 from vortexcorr.correlation import cross_pair_truncated, pair_integral
 from vortexcorr.equilibria import collinear_triple
 from vortexcorr.quadrature import (
-    DiskExcision,
     QuadratureResult,
     QuadratureSpec,
     _smooth_step,
     integrate_disk,
     integrate_excised_disk,
 )
+
+from conftest import random_configuration
 
 
 def test_spec_validation():
@@ -35,14 +37,6 @@ def test_result_validation():
         QuadratureResult(1.0, 0.1, 0.0, -1)
 
 
-def test_excision_validation():
-    DiskExcision(0j, 0.1, 0.2, 0.4)
-    with pytest.raises(ValueError):
-        DiskExcision(0j, 0.3, 0.2, 0.4)  # plateau below excised radius
-    with pytest.raises(ValueError):
-        DiskExcision(0j, 0.1, 0.5, 0.4)  # support below plateau
-
-
 def test_smooth_step_shape():
     ts = np.linspace(-0.5, 1.5, 101)
     vals = _smooth_step(ts)
@@ -51,29 +45,56 @@ def test_smooth_step_shape():
     assert _smooth_step(np.array([0.5]))[0] == pytest.approx(0.5)
 
 
+def ones(z):
+    return np.ones_like(z.real)
+
+
 def test_area_with_excisions():
     # the partition of unity must reproduce plain areas exactly
-    two = [
-        DiskExcision(0j, 0.1, 0.25, 0.45),
-        DiskExcision(1 + 0j, 0.1, 0.25, 0.45),
-    ]
-    # ten holes: a 3x3 grid whose supports are 0.02 apart, plus one more;
-    # their supports straddle the background's radial breakpoints
-    # (0.467, 0.5, 0.707, 0.74, ...) that the neighbouring holes put there
-    ten = [
-        DiskExcision(complex(0.5 * i, 0.5 * j), 0.05, 0.12, 0.24)
-        for i in (-1, 0, 1)
-        for j in (-1, 0, 1)
-    ]
-    ten.append(DiskExcision(1.2 + 0.4j, 0.03, 0.08, 0.2))
-    for excisions, radius, target in ((two, 10.0, 1e-8), (ten, 4.0, 1e-7)):
+    two = [0j, 1 + 0j]
+    # ten holes: a 3x3 grid 0.5 apart plus one more 0.22 from a grid point;
+    # their supports straddle the background's radial breakpoints that the
+    # neighbouring holes put there
+    ten = [complex(0.5 * i, 0.5 * j) for i in (-1, 0, 1) for j in (-1, 0, 1)]
+    ten.append(1.2 + 0.4j)
+    for centers, eps, radius, target in ((two, 0.1, 10.0, 1e-8), (ten, 0.05, 4.0, 1e-7)):
         value, err, cells, converged = integrate_excised_disk(
-            lambda z: np.ones_like(z.real), excisions, radius, target, 10**6
+            ones, centers, eps, radius, target, 10**6
         )
-        exact = math.pi * (radius**2 - sum(e.radius**2 for e in excisions))
+        exact = math.pi * (radius**2 - len(centers) * eps**2)
         assert converged
         assert abs(value.real - exact) < 1e-7
         assert value.imag == 0.0
+
+
+def test_area_over_random_centre_sets(rng):
+    # whatever the centres, the derived supports are disjoint and lie inside
+    # B_R, also where the truncation circle is a hole's nearest neighbour
+    for n in (1, 2, 3, 4, 5, 6):
+        centers = np.array(random_configuration(rng, n).positions)
+        far = max(abs(centers))
+        radius = far * rng.uniform(1.05, 2.0)
+        gaps = [abs(a - b) for i, a in enumerate(centers) for b in centers[i + 1 :]]
+        eps = 0.2 * min(gaps + [2.0 * (radius - far)])
+        value, err, cells, converged = integrate_excised_disk(
+            ones, centers, eps, radius, 1e-8, 10**6
+        )
+        assert converged
+        assert abs(value.real - math.pi * (radius**2 - n * eps**2)) < 1e-7
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the background's Gauss nodes can miss part of the dip of a hole "
+    "much narrower than its 45-degree starting panel, and both rules agree",
+)
+def test_small_hole_error_bar_covers_area():
+    c = cmath.exp(0.39j)
+    value, err, cells, converged = integrate_excised_disk(
+        ones, [c, c + 0.09j * c], 0.018, 5.0, 1e-8, 10**6
+    )
+    assert converged
+    assert abs(value.real - math.pi * (25.0 - 2 * 0.018**2)) <= err
 
 
 def test_gaussian_over_disk():
@@ -91,25 +112,16 @@ def test_quadratic_moment_over_disk():
 
 
 def test_excisions_must_fit_inside_domain():
-    excisions = [DiskExcision(9.9 + 0j, 0.1, 0.25, 0.45)]
-    with pytest.raises(ValueError, match="fit inside"):
-        integrate_excised_disk(lambda z: np.ones_like(z.real), excisions, 10.0, 1e-6, 10**5)
-
-
-def test_excisions_must_not_overlap():
-    excisions = [
-        DiskExcision(0j, 0.1, 0.3, 0.6),
-        DiskExcision(1 + 0j, 0.1, 0.3, 0.6),
-    ]
-    with pytest.raises(ValueError, match="overlap"):
-        integrate_excised_disk(lambda z: np.ones_like(z.real), excisions, 10.0, 1e-6, 10**5)
+    for center in (10.0 + 0j, 6.0 - 8.5j):
+        with pytest.raises(ValueError, match="fit inside"):
+            integrate_excised_disk(ones, [0j, center], 0.1, 10.0, 1e-6, 10**5)
 
 
 def test_budget_exhaustion_flag():
-    excisions = [DiskExcision(0j, 0.01, 0.05, 0.2)]
     value, err, cells, converged = integrate_excised_disk(
         lambda z: 1.0 / (z.real**2 + z.imag**2),
-        excisions,
+        [0j],
+        0.01,
         10.0,
         1e-12,
         max_cells=200,
@@ -120,13 +132,11 @@ def test_budget_exhaustion_flag():
 
 
 def test_bit_identical_repeat_runs():
-    excisions = [DiskExcision(0.3 + 0.2j, 0.05, 0.1, 0.2)]
-
     def f(z):
         return 1.0 / ((z.real - 0.3) ** 2 + (z.imag - 0.2) ** 2 + 0.01)
 
-    first = integrate_excised_disk(f, excisions, 5.0, 1e-7, 10**6)
-    second = integrate_excised_disk(f, excisions, 5.0, 1e-7, 10**6)
+    first = integrate_excised_disk(f, [0.3 + 0.2j], 0.05, 5.0, 1e-7, 10**6)
+    second = integrate_excised_disk(f, [0.3 + 0.2j], 0.05, 5.0, 1e-7, 10**6)
     assert first == second
 
 
@@ -137,17 +147,13 @@ def test_bit_exact_golden_values():
     def f(z):
         return np.exp(-0.25 * (z.real**2 + z.imag**2)) * (1.0 + z) / (z - 3.0 - 2.0j)
 
-    excisions = [
-        DiskExcision(0j, 0.05, 0.1, 0.3),
-        DiskExcision(0.8 + 0.3j, 0.05, 0.12, 0.35),
-        DiskExcision(-0.6 + 0.9j, 0.04, 0.1, 0.25),
-    ]
-    value, err, cells, converged = integrate_excised_disk(f, excisions, 6.0, 1e-6, 10**5)
+    centers = [0j, 0.8 + 0.3j, -0.6 + 0.9j]
+    value, err, cells, converged = integrate_excised_disk(f, centers, 0.05, 6.0, 1e-6, 10**5)
     assert (value.real.hex(), value.imag.hex(), err.hex(), cells, converged) == (
-        "-0x1.25d4a03dd08e4p+1",
-        "0x1.db17935ea4f70p+0",
-        "0x1.07fa8574856fcp-20",
-        996,
+        "-0x1.25c8c47ac69a9p+1",
+        "0x1.db32df51d1941p+0",
+        "0x1.09f415690efbfp-20",
+        1344,
         True,
     )
 
