@@ -73,7 +73,7 @@ class VortexConfiguration:
 
     Invariants (checked on construction):
 
-    * at least one vortex, all coordinates finite;
+    * at least one vortex, all coordinates and pairwise distances finite;
     * every ``|circulation| >= CIRCULATION_FLOOR``;
     * the minimum pairwise distance exceeds
       ``SEPARATION_FLOOR_SCALE * (1 + diameter)``.
@@ -96,7 +96,16 @@ class VortexConfiguration:
                     f"vortex {j} has circulation {v.circulation!r}; "
                     f"|d| must be at least {CIRCULATION_FLOOR}"
                 )
-        floor = SEPARATION_FLOOR_SCALE * (1.0 + self.diameter)
+        # builds the pair tables; a distance that overflows is rejected here
+        with np.errstate(over="ignore"):
+            diameter = self.diameter
+        if not math.isfinite(diameter):
+            j, k = np.argwhere(np.isinf(self._distances))[0]
+            raise ConfigurationError(
+                f"vortices {j} and {k} are too far apart: their distance "
+                "overflows the floating-point range"
+            )
+        floor = SEPARATION_FLOOR_SCALE * (1.0 + diameter)
         close = np.argwhere(np.triu(self._distances < floor, 1))
         if len(close):
             j, k = close[0]  # the first pair in row-major (j < k) order

@@ -118,7 +118,9 @@ def _pair_tail(p: complex, q: complex, radius: float) -> complex:
     ``pi sum_n (n+1) (conj(p) q)^n / R^(2n+2) = pi R^2 / (R^2 - conj(p) q)^2``.
     """
     r2 = radius * radius
-    return math.pi * r2 / (r2 - complex(p).conjugate() * q) ** 2
+    # divided twice rather than by the square, which overflows for large R
+    denominator = r2 - complex(p).conjugate() * q
+    return math.pi * (r2 / denominator) / denominator
 
 
 def _pair_run(
@@ -138,9 +140,10 @@ def _pair_run(
         )
 
     def f(zs: np.ndarray) -> np.ndarray:
-        left = np.conj(zs - p)
-        right = zs - q
-        return weight * (1.0 / (left * left * right * right))
+        # the square of the reciprocal: the fourth-degree denominator itself
+        # overflows at |z| near 1e77
+        g = 1.0 / (np.conj(zs - p) * (zs - q))
+        return weight * (g * g)
 
     raw, err, cells, converged = integrate_excised_disk(
         f, [p, q], epsilon, spec.cutoff_radius, spec.target_abs_error, spec.max_cells

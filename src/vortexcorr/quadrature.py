@@ -6,12 +6,22 @@ The domain ``B_R \\ union_l B_eps(c_l)`` is split exactly into
   radius out to a support radius, meshed in (radius, angle) cells, and
 * a background over all of ``B_R`` in polar coordinates about the origin,
 
-glued by a smooth radial partition of unity: around each excision a C-inf
-cutoff equals 1 out to a plateau radius (which covers the excised disk)
-and falls to 0 at the support radius.  The patch integrates
-``cutoff * f``; the background integrates ``(1 - sum of cutoffs) * f``,
-which vanishes identically on every excised disk, so no cell ever
-straddles a domain boundary and the geometry is exact.
+glued by a radial partition of unity: around each excision a cutoff
+equals 1 out to a plateau radius (which covers the excised disk) and falls
+to 0 at the support radius.  The patch integrates ``cutoff * f``; the
+background integrates ``(1 - sum of cutoffs) * f``, which vanishes
+identically on every excised disk, so no cell ever straddles a domain
+boundary and the geometry is exact.
+
+The exactness rests only on the two weights summing to 1, not on how
+smooth the cutoff is; the smoothness sets the cost.  The cutoff falls
+along the C5 smoothstep polynomial of degree 11.  A C-inf ``exp(-1/t)``
+blend has derivatives that grow faster than factorially near both ends of
+its ramp, and the background's polar cells about the origin, which do
+not line up with the holes, needed many small cells to resolve them; the
+polynomial has modest derivatives and only C5 kinks at the plateau and
+support circles, and reaches the same error target with about half the
+cells (Adler-Moser n=3 at the default spec: 10,116 -> 4,524).
 
 Callers name the centres, ``eps`` and ``R``; each hole's plateau and
 support follow here from its room, the distance to the nearest other
@@ -58,6 +68,10 @@ _NODES_LOW, _WEIGHTS_LOW = np.polynomial.legendre.leggauss(7)
 _NODES_HIGH, _WEIGHTS_HIGH = np.polynomial.legendre.leggauss(11)
 
 _MIN_REL_CELL = 1e-9
+# Largest truncation radius: past it the cube of the radius (the far-field
+# budget divides by it) leaves the floating-point range, and from 2**512 on
+# so do the polar cell weights r dr dtheta.
+_MAX_RADIUS = 2.0**340
 _RESYNC_EVERY = 64
 
 
@@ -104,17 +118,23 @@ class QuadratureResult:
 
 
 def _smooth_step(t: np.ndarray) -> np.ndarray:
-    """C-infinity step: 0 for t <= 0, 1 for t >= 1, exp-bump blend between."""
-    t = np.asarray(t, dtype=np.float64)
-    out = np.where(t >= 1.0, 1.0, 0.0)
-    inner = (t > 0.0) & (t < 1.0)
-    if inner.any():
-        ti = t[inner]
-        with np.errstate(under="ignore"):
-            e0 = np.exp(-1.0 / ti)
-            e1 = np.exp(-1.0 / (1.0 - ti))
-        out[inner] = e0 / (e0 + e1)
-    return out
+    """C5 step of degree 11: 0 for t <= 0, 1 for t >= 1, and between
+    ``s(t) = t^6 (462 - 1980 t + 3465 t^2 - 3080 t^3 + 1386 t^4 - 252 t^5)``.
+
+    Evaluated in its Bernstein form ``sum_{k=6}^{11} C(11, k) u^k v^(11-k)``
+    with ``v = 1 - u``, whose terms are all positive, at ``u`` the distance
+    to the nearer end, and reflected through ``s(t) = 1 - s(1 - t)`` past
+    ``t = 1/2`` (where ``1 - t`` is exact): both ends keep their relative
+    accuracy and ``s(1/2) = 1/2`` exactly.
+    """
+    t = np.clip(np.asarray(t, dtype=np.float64), 0.0, 1.0)
+    u = np.minimum(t, 1.0 - t)
+    v = 1.0 - u
+    r = u / v
+    w = u * v
+    w2 = w * w
+    s = w2 * w2 * w * u * (((((r + 11.0) * r + 55.0) * r + 165.0) * r + 330.0) * r + 462.0)
+    return np.where(t > 0.5, 1.0 - s, s)
 
 
 def _cutoff(r: np.ndarray, plateau: float, support: float) -> np.ndarray:
@@ -228,14 +248,14 @@ def _background_cells(
                 marks.add(r)
     near = max((abs(p.center) + p.support for p in patches), default=0.0)
     start = near if near > 0.0 else cutoff_radius / 64.0
-    for r in _geometric_edges(max(start, cutoff_radius / 4096.0), cutoff_radius):
+    for r in _geometric_edges(start, cutoff_radius):
         if 0.0 < r < cutoff_radius:
             marks.add(r)
     radial = sorted(marks)
     # drop breakpoints that crowd each other
     cleaned = [radial[0]]
     for r in radial[1:]:
-        if r - cleaned[-1] > 1e-12 * cutoff_radius:
+        if r - cleaned[-1] > 1e-12 * r:
             cleaned.append(r)
     cleaned[-1] = cutoff_radius
     return _polar_cells(index, cleaned)
@@ -332,10 +352,15 @@ def integrate_excised_disk(
 
     ``f`` receives a 1-D array of complex points and must return an array of
     values (real or complex).  Returns ``(value, error_estimate, cells_used,
-    converged)``.
+    converged)``.  ``cutoff_radius`` may not exceed ``2**340``.
     """
     if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
+    if not cutoff_radius <= _MAX_RADIUS:
+        raise ValueError(
+            f"cutoff radius {cutoff_radius:.6g} in the integration frame is out of "
+            f"floating-point range (at most 2**340 = {_MAX_RADIUS:.6g})"
+        )
     centers = np.array(centers, dtype=np.complex128)
     moduli = np.hypot(centers.real, centers.imag)
     for c, m in zip(centers.tolist(), moduli.tolist()):

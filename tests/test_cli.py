@@ -531,12 +531,27 @@ def _moved(scale, shift=0.0):
     return [(scale * x + shift, y, d) for x, y, d in COLLINEAR_ROWS]
 
 
-# (command, configuration rows or manifest parameters, expected exit code)
+# two vortices whose difference 2e308 overflows
+OVERFLOWING_ROWS = [(-1e308, 0.0, 1.0), (1e308, 0.0, 1.0)]
+
+# (command, configuration rows or manifest parameters, expected exit code,
+# further arguments)
 CONTRACT_CASES = {
     "correlation-translated": ("correlation", _moved(1.0, 1000.0), 0),
     "correlation-scale-1e100": ("correlation", _moved(1e100), 0),
     "correlation-scale-1e104": ("correlation", _moved(1e104), 0),
     "correlation-scale-1e160": ("correlation", _moved(1e160), 2),
+    "correlation-radius-1e100": ("correlation", COLLINEAR_ROWS, 0, ["--radius", "1e100"]),
+    "correlation-radius-1e110": ("correlation", COLLINEAR_ROWS, 2, ["--radius", "1e110"]),
+    "correlation-radius-1e200": ("correlation", COLLINEAR_ROWS, 2, ["--radius", "1e200"]),
+    "pair-integral-radius-1e110": (
+        "pair-integral",
+        None,
+        2,
+        ["--p", "0,0", "--q", "1,0", "--eps", "0.1", "--radius", "1e110"],
+    ),
+    "correlation-distance-overflows": ("correlation", OVERFLOWING_ROWS, 3),
+    "energy-distance-overflows": ("energy", OVERFLOWING_ROWS, 3),
     "energy-far-apart": ("energy", [(-1e160, 0.0, 1.0), (1e160, 0.0, 1.0)], 0),
     "replay-refine-zero-tol": ("refine", {"free": "all", "tol": 0, "max_iter": 50}, 2),
     "replay-refine-no-free": ("refine", {"tol": 1e-12, "max_iter": 50}, 2),
@@ -557,7 +572,8 @@ CONTRACT_CASES = {
 
 @pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
 def test_exit_code_contract(capsys, tmp_path, case):
-    command, data, expected = CONTRACT_CASES[case]
+    command, data, expected, *rest = CONTRACT_CASES[case]
+    args = rest[0] if rest else []
     if case.startswith("replay-"):
         parameters = {}
         if data is not None:
@@ -568,8 +584,10 @@ def test_exit_code_contract(capsys, tmp_path, case):
             json.dumps({"command": command, "parameters": parameters, "results": {}})
         )
         argv = ["replay", str(manifest)]
+    elif data is None:
+        argv = [command, *args]
     else:
-        argv = [command, write_config(tmp_path / "config.json", data)]
+        argv = [command, write_config(tmp_path / "config.json", data), *args]
     code, out, err = run_cli(capsys, *argv)
     assert code == expected, err
     assert code in (0, 2, 3, 4, 5)

@@ -77,6 +77,18 @@ def test_energy_of_a_far_apart_pair_is_finite():
         assert energy(config) == pytest.approx(-2.0 * math.log(2e160), rel=1e-15)
 
 
+def test_positions_whose_distance_overflows_are_rejected():
+    # the difference 2e308 overflows; so does the hypot of two finite ones
+    for pairs in (
+        [(-1e308, 1.0), (1e308, 1.0)],
+        [(-1.2e308 + 0j, 1.0), (1.5e308j, 1.0)],
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="too far apart"):
+                VortexConfiguration.from_pairs(pairs)
+
+
 def test_energy_collinear_triple_matches_oracle():
     config = collinear_triple()
     # only the (+-1, +-1) pair at distance 2 contributes: W = -2 log 2

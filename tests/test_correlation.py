@@ -23,6 +23,8 @@ from vortexcorr import (
 from vortexcorr.correlation import _far_field_budget, _pair_tail
 from vortexcorr.quadrature import _integrate_annuli, integrate_disk, integrate_excised_disk
 
+from oracles import eps_series
+
 
 @pytest.fixture(scope="module")
 def cube_roots():
@@ -404,7 +406,7 @@ def test_shared_estimates_match_independent_runs(name):
         )
 
 
-@pytest.mark.parametrize("max_cells", [1_000, 2_000_000])
+@pytest.mark.parametrize("max_cells", [500, 2_000_000])
 @pytest.mark.parametrize("name", sorted(SHARED_CONFIGS))
 def test_shared_estimates_keep_target_and_budget(name, max_cells):
     config = SHARED_CONFIGS[name]
@@ -420,7 +422,37 @@ def test_shared_estimates_keep_target_and_budget(name, max_cells):
     # the main run's cells are shared: later estimates only add ring cells
     cells = [est.cells_used for est in report.estimates]
     assert cells == sorted(cells)
-    assert all(est.converged for est in report.estimates) == (max_cells > 1_000)
+    assert all(est.converged for est in report.estimates) == (max_cells > 500)
+
+
+# equilibria with their rigid motions (rotation, translation)
+SERIES_CASES = {
+    "collinear": (collinear_triple, 1.3, 2.5 - 1.25j),
+    "cube_roots": (lambda: config_from_adler_moser(adler_moser_chain(2, [-1.0])), 2.3, -4.0j),
+    "adler_moser_3": (
+        lambda: config_from_adler_moser(adler_moser_chain(3, [1.0, 1.0])),
+        3.3,
+        -1.0 + 0.75j,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SERIES_CASES))
+def test_error_bars_cover_the_exact_series(name):
+    # every A_eps estimate at the default eps list, alone and as one of
+    # correlation_limit's shared estimates, must lie within its error
+    # estimate of the exact eps-series
+    build, rotation, translation = SERIES_CASES[name]
+    config = transform(build(), Similarity(rotation=rotation, translation=translation))
+    eps = default_epsilon_list(config)
+    spec = default_quadrature_spec(config)
+    report = correlation_limit(config, eps, spec)
+    for e, shared in zip(eps, report.estimates):
+        alone = correlation_A_eps(config, replace(spec, epsilon=e))
+        exact = eps_series(config, e)
+        for est in (alone, shared):
+            assert est.converged
+            assert abs(est.value - exact) <= est.abs_error_estimate
 
 
 def test_shared_error_counted_once():

@@ -1,5 +1,8 @@
 """The public surface is pinned: any change to it shows up as a diff here."""
 
+import re
+from pathlib import Path
+
 import vortexcorr
 import vortexcorr.rational
 
@@ -47,3 +50,12 @@ def test_public_surface_is_pinned():
     for name in vortexcorr.__all__:
         assert hasattr(vortexcorr, name), name
     assert vortexcorr.rational.__all__ == ["integrand_values"]
+
+
+def test_package_version_matches_pyproject():
+    # replay's "bit-exact only within a version" relies on the two agreeing;
+    # a regex, because Python 3.10 has no tomllib
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    match = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)
+    assert match is not None
+    assert match.group(1) == vortexcorr.__version__
