@@ -4,7 +4,7 @@
 the plane with a disk of radius ``eps`` removed around every vortex; the
 correlation coefficient ``A`` is its ``eps -> 0`` limit.  At every
 equilibrium that limit is zero, which this module reproduces numerically:
-truncate to a large disk ``B_R``, integrate adaptively, add the analytic
+truncate to a large disk ``B_R``, integrate adaptively, add the exact
 far-field tail, and extrapolate a short list of shrinking ``eps`` values.
 
 :func:`correlation_limit` integrates the eps-independent part once.  One
@@ -19,8 +19,8 @@ Estimate ``i`` reports the cells its value rests on -- the main run's,
 which every estimate shares, plus its own ring's -- and the sum of the two
 adaptive errors.  Because the main run's error is common to every estimate
 it cancels in differences and passes through the extrapolation once (the
-Lagrange weights sum to one), like the far-field budget; only the ring
-errors are independent noise, amplified by the extrapolation weights.
+Lagrange weights sum to one); only the ring errors are independent noise,
+amplified by the extrapolation weights.
 
 Every integral of a configuration runs in the frame ``(z - t) / 2^k``
 that :func:`_frame` picks from the centroid and the diameter, so a
@@ -28,13 +28,13 @@ configuration far from the origin, or at any scale, meets the same
 floating-point range as one of unit size.  Values and errors come back
 to the caller's units by a power-of-two factor, which is exact.
 
-The two-disk identity -- the integral of
-``1/(conj(z-p)^2 (z-q)^2)`` over the plane minus eps-disks at ``p`` and
-``q`` vanishes -- is checked by direct quadrature in :func:`pair_integral`.
-:func:`cross_pair_truncated` runs the same two-disk integral, weighted by
-``d_j^2 d_k^2``, for one ordered pair of a configuration, and
-:func:`moebius_params` exposes the fractional-linear map that turns
-that two-disk geometry into a round annulus.
+The pair kernel ``1/(conj(z-p)^2 (z-q)^2)`` integrates to zero over the
+plane minus eps-disks at ``p`` and ``q`` (the two-disk identity), which one
+framed routine checks by quadrature: :func:`pair_integral` for a lone pair,
+:func:`cross_pair_truncated` weighted by ``d_j^2 d_k^2`` for one ordered
+pair of a configuration.  The kernel's exact tail beyond ``R`` also builds
+that of ``A_eps``.  :func:`moebius_params` exposes the fractional-linear
+map that turns the two-disk geometry into a round annulus.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import VortexConfiguration
+from .core import VortexConfiguration, forces
 from .rational import integrand_values
 from .quadrature import (
     QuadratureResult,
@@ -110,7 +110,7 @@ def moebius_params(epsilon: float) -> MoebiusParams:
 
 
 def _pair_tail(p: complex, q: complex, radius: float) -> complex:
-    """Exact integral of the pair kernel over ``|z| > radius``.
+    """Exact integral of the pair kernel over ``|z| > radius``, elementwise.
 
     For ``|p|, |q| < R`` the expansions of ``1/conj(z-p)^2`` and
     ``1/(z-q)^2`` in powers of ``1/z`` converge there, and the angular
@@ -119,70 +119,37 @@ def _pair_tail(p: complex, q: complex, radius: float) -> complex:
     """
     r2 = radius * radius
     # divided twice rather than by the square, which overflows for large R
-    denominator = r2 - complex(p).conjugate() * q
+    denominator = r2 - p.conjugate() * q
     return math.pi * (r2 / denominator) / denominator
 
 
-def _pair_run(
-    p: complex, q: complex, epsilon: float, weight: float, spec: QuadratureSpec
-) -> tuple[complex, float, float, int, bool]:
-    """The two-disk integral of ``weight / (conj(z-p)^2 (z-q)^2)``.
+def _far_field_tail(frame: VortexConfiguration, radius: float) -> float:
+    """Exact integral of the correlation integrand over ``|z| > radius``.
 
-    Integrates over the disk of radius ``spec.cutoff_radius`` about the
-    origin minus the two ``epsilon``-disks and adds the exact far-field
-    tail.  Returns the corrected complex estimate, the adaptive error (the
-    tail adds none), the real part of the tail, the cells used and whether
-    the adaptive run converged.
+    With ``phi^2 = sum_j T_j + G``, ``T_j = d_j^2/(z - a_j)^2`` and
+    ``G = sum_j g_j/(z - a_j)``, whose residues ``g_j = 2 f_j`` sum to zero,
+    the integrand is ``sum_{j!=k} conj(T_j) T_k + 2 Re(conj(sum_j T_j) G) +
+    |G|^2``.  For every ``|a_j| < R`` the angular integral keeps the
+    diagonal terms of their ``1/z`` expansions, which sum to
+    ``sum_{j!=k} d_j^2 d_k^2 P(a_j, a_k) + 2 Re sum_{j,k} d_j^2 g_k pi a_k /
+    (R^2 - conj(a_j) a_k) - pi sum_{j,k} conj(g_j) g_k log(1 - conj(a_j)
+    a_k / R^2)`` with ``P`` the pair tail :func:`_pair_tail`; ``sum_j g_j =
+    0`` removes the divergent ``|z|^-2`` term of ``|G|^2``.
     """
-    if not epsilon < 0.5 * abs(p - q):
-        raise ValueError(
-            f"epsilon {epsilon} must be below half the pair separation {0.5 * abs(p - q)}"
-        )
-
-    def f(zs: np.ndarray) -> np.ndarray:
-        # the square of the reciprocal: the fourth-degree denominator itself
-        # overflows at |z| near 1e77
-        g = 1.0 / (np.conj(zs - p) * (zs - q))
-        return weight * (g * g)
-
-    raw, err, cells, converged = integrate_excised_disk(
-        f, [p, q], epsilon, spec.cutoff_radius, spec.target_abs_error, spec.max_cells
-    )
-    tail = weight * _pair_tail(p, q, spec.cutoff_radius)
-    return raw + tail, err, tail.real, cells, converged
-
-
-def pair_integral(
-    p: complex, q: complex, epsilon: float, spec: QuadratureSpec
-) -> QuadratureResult:
-    """Quadrature check of the two-disk identity for the pair kernel.
-
-    Integrates ``1/(conj(z-p)^2 (z-q)^2)`` over the disk of radius
-    ``spec.cutoff_radius`` centred at the pair midpoint, minus the two
-    ``epsilon``-disks, then adds the exact far-field tail
-    ``pi R^2 / (R^2 - conj(p) q)^2`` (about the midpoint), so the error
-    estimate is the adaptive one alone.  The exact plane integral is zero,
-    so the reported value -- the modulus of the corrected complex
-    estimate -- should not exceed the error estimate.
-    """
-    p = complex(p)
-    q = complex(q)
-    sep = abs(p - q)
-    if not spec.cutoff_radius > 2.0 * (sep + 1.0):
-        raise ValueError(
-            f"cutoff_radius must exceed 2 * (separation + 1) = {2.0 * (sep + 1.0)}"
-        )
-    mid = 0.5 * (p + q)
-    estimate, error, tail, cells, converged = _pair_run(
-        p - mid, q - mid, epsilon, 1.0, spec
-    )
-    return QuadratureResult(
-        value=abs(estimate),
-        abs_error_estimate=error,
-        tail_correction=tail,
-        cells_used=cells,
-        converged=converged,
-    )
+    a = np.asarray(frame.positions)
+    d2 = np.square(frame.circulations)
+    g = 2.0 * np.asarray(forces(frame))
+    r2 = radius * radius
+    pair = _pair_tail(a[:, None], a, radius)
+    np.fill_diagonal(pair, 0.0)
+    overlap = a.conj()[:, None] * a
+    cross = math.pi * a / (r2 - overlap)
+    # log(1 - u) without rounding 1 - u: u is of order (diameter / R)^2
+    u = overlap / r2
+    log_modulus = 0.5 * np.log1p(u.real * (u.real - 2.0) + u.imag**2)
+    log = log_modulus + 1j * np.arctan2(-u.imag, 1.0 - u.real)
+    total = d2 @ pair @ d2 + 2.0 * (d2 @ cross @ g) - math.pi * (g.conj() @ log @ g)
+    return float(total.real)
 
 
 def _validate_radius(config: VortexConfiguration, spec: QuadratureSpec) -> None:
@@ -232,18 +199,73 @@ def _frame(
     return frame, spec, shrink
 
 
+def _pair(
+    config: VortexConfiguration, j: int, k: int, epsilon: float, spec: QuadratureSpec
+) -> tuple[complex, float, float, int, bool]:
+    """The two-disk integral of ``d_j^2 d_k^2 / (conj(z-a_j)^2 (z-a_k)^2)``.
+
+    Checks ``epsilon`` and ``R`` in the caller's units, integrates over
+    ``B_R`` minus the two ``epsilon``-disks in the frame of ``config`` and
+    adds the exact tail.  Returns the fields of a :class:`QuadratureResult`
+    in the caller's units, with the corrected complex estimate as the value
+    and the real part of the tail as the tail correction.
+    """
+    half = 0.5 * abs(config.positions[j] - config.positions[k])
+    if not epsilon < half:
+        raise ValueError(
+            f"epsilon {epsilon} must be below half the pair separation {half}"
+        )
+    _validate_radius(config, spec)
+    frame, spec, shrink = _frame(config, replace(spec, epsilon=epsilon))
+    p, q = frame.positions[j], frame.positions[k]
+    weight = (config.circulations[j] * config.circulations[k]) ** 2
+
+    def f(zs: np.ndarray) -> np.ndarray:
+        # the square of the reciprocal: the fourth-degree denominator itself
+        # overflows at |z| near 1e77
+        g = 1.0 / (np.conj(zs - p) * (zs - q))
+        return weight * (g * g)
+
+    raw, err, cells, converged = integrate_excised_disk(
+        f, [p, q], spec.epsilon, spec.cutoff_radius, spec.target_abs_error, spec.max_cells
+    )
+    tail = weight * _pair_tail(p, q, spec.cutoff_radius)
+    area = shrink * shrink
+    return (raw + tail) * area, err * area, tail.real * area, cells, converged
+
+
+def pair_integral(
+    p: complex, q: complex, epsilon: float, spec: QuadratureSpec
+) -> QuadratureResult:
+    """Quadrature check of the two-disk identity for the pair kernel.
+
+    Integrates ``1/(conj(z-p)^2 (z-q)^2)`` over the disk of radius
+    ``spec.cutoff_radius`` about the pair midpoint minus the two
+    ``epsilon``-disks and adds the exact tail ``pi R^2 / (R^2 - conj(p) q)^2``
+    (about the midpoint), so the error estimate is the adaptive one alone.
+    Like :func:`cross_pair_truncated` it runs in the pair's power-of-two
+    frame, so a pair of any size and position is integrated like a unit one.
+    The plane integral is zero, so the value -- the modulus of the corrected
+    complex estimate -- should not exceed the error estimate.
+    """
+    mid = 0.5 * (complex(p) + complex(q))
+    pair = VortexConfiguration.from_pairs([(p - mid, 1.0), (q - mid, 1.0)])
+    estimate, *rest = _pair(pair, 0, 1, epsilon, spec)
+    return QuadratureResult(abs(estimate), *rest)
+
+
 def correlation_A_eps(
     config: VortexConfiguration, spec: QuadratureSpec
 ) -> QuadratureResult:
     """Truncated principal-value estimate of the correlation coefficient.
 
     Integrates the correlation integrand over ``B_R`` minus an
-    ``spec.epsilon``-disk around every vortex, then adds the analytic tail
-    ``pi * ((sum d_j)^4 - sum d_j^4) / R^2``; the residual far-field error
-    is budgeted at ``10 * (sum |d_j|)^4 * diameter / R^3`` inside the error
-    estimate.  A single vortex gives exactly zero without quadrature.
+    ``spec.epsilon``-disk around every vortex, then adds the exact far-field
+    tail of :func:`_far_field_tail` (its leading term is
+    ``pi * ((sum d_j)^4 - sum d_j^4) / R^2``), so the error estimate is the
+    adaptive one alone.  A single vortex gives exactly zero without
+    quadrature.
     """
-    d = config.circulations
     if len(config) == 1:
         return QuadratureResult(
             value=0.0, abs_error_estimate=0.0, tail_correction=0.0, cells_used=0
@@ -259,10 +281,10 @@ def correlation_A_eps(
         f, frame.positions, spec.epsilon, radius, spec.target_abs_error, spec.max_cells
     )
     area = shrink * shrink
-    tail = math.pi * (sum(d) ** 4 - sum(x**4 for x in d)) / (radius * radius)
+    tail = _far_field_tail(frame, radius)
     return QuadratureResult(
         value=(raw.real + tail) * area,
-        abs_error_estimate=(err + _far_field_budget(frame, radius)) * area,
+        abs_error_estimate=err * area,
         tail_correction=tail * area,
         cells_used=cells,
         converged=converged,
@@ -270,11 +292,7 @@ def correlation_A_eps(
 
 
 def cross_pair_truncated(
-    config: VortexConfiguration,
-    j: int,
-    k: int,
-    epsilon: float,
-    spec: QuadratureSpec,
+    config: VortexConfiguration, j: int, k: int, epsilon: float, spec: QuadratureSpec
 ) -> QuadratureResult:
     """Truncated integral of ``conj(T_j) T_k`` with only the (j, k) disks excised.
 
@@ -289,20 +307,8 @@ def cross_pair_truncated(
         raise IndexError(f"vortex indices ({j}, {k}) out of range for {n} vortices")
     if j == k:
         raise ValueError("the pair indices must differ")
-    _validate_radius(config, spec)
-    frame, spec, shrink = _frame(config, spec)
-    a, d = frame.positions, config.circulations
-    estimate, error, tail, cells, converged = _pair_run(
-        a[j], a[k], epsilon * shrink, (d[j] * d[k]) ** 2, spec
-    )
-    area = shrink * shrink
-    return QuadratureResult(
-        value=estimate.real * area,
-        abs_error_estimate=(error + abs(estimate.imag)) * area,
-        tail_correction=tail * area,
-        cells_used=cells,
-        converged=converged,
-    )
+    estimate, error, *rest = _pair(config, j, k, epsilon, spec)
+    return QuadratureResult(estimate.real, error + abs(estimate.imag), *rest)
 
 
 @dataclass(frozen=True)
@@ -336,11 +342,6 @@ class CorrelationReport:
                 raise ValueError("epsilons must be strictly decreasing")
 
 
-def _far_field_budget(config: VortexConfiguration, cutoff_radius: float) -> float:
-    d = config.circulations
-    return 10.0 * sum(abs(x) for x in d) ** 4 * config.diameter / cutoff_radius**3
-
-
 def _lagrange_at_zero(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
     """Polynomial extrapolation of ``(x, y)`` data to ``x = 0``.
 
@@ -360,19 +361,16 @@ def _lagrange_at_zero(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, 
 
 
 def correlation_limit(
-    config: VortexConfiguration,
-    epsilons: Sequence[float],
-    spec: QuadratureSpec,
+    config: VortexConfiguration, epsilons: Sequence[float], spec: QuadratureSpec
 ) -> CorrelationReport:
     """Estimate ``lim A_eps`` from estimates over a shrinking eps-list.
 
-    One excised-disk run gives ``A_eps`` at the largest ``eps_1``; every
-    smaller ``eps_i`` adds the rings ``eps_i < |z - a_k| < eps_1``, which are
-    integrated together in one adaptive run (see the module docstring).
-    The rings run first at half of ``spec.target_abs_error``; the main run
-    then gets the target minus the largest ring error, so every estimate's
-    adaptive error stays within the target.  Its cell budget is
-    ``spec.max_cells`` minus the largest ring's cells.
+    The estimates share one excised-disk run at the largest ``eps_1`` and
+    add rings for every smaller ``eps_i`` (see the module docstring).  The
+    rings run first at half of ``spec.target_abs_error``; the main run then
+    gets the target minus the largest ring error, so every estimate's
+    adaptive error stays within the target, and ``spec.max_cells`` minus
+    the largest ring's cells.
 
     At an equilibrium the excision dependence expands in even powers of
     ``eps``: each removed disk subtracts disk integrals of functions that

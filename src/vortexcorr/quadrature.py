@@ -68,9 +68,8 @@ _NODES_LOW, _WEIGHTS_LOW = np.polynomial.legendre.leggauss(7)
 _NODES_HIGH, _WEIGHTS_HIGH = np.polynomial.legendre.leggauss(11)
 
 _MIN_REL_CELL = 1e-9
-# Largest truncation radius: past it the cube of the radius (the far-field
-# budget divides by it) leaves the floating-point range, and from 2**512 on
-# so do the polar cell weights r dr dtheta.
+# Largest truncation radius, with a wide margin: from 2**512 on the polar cell
+# weights r dr dtheta leave the floating-point range.
 _MAX_RADIUS = 2.0**340
 _RESYNC_EVERY = 64
 

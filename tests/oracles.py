@@ -13,7 +13,10 @@ field, written independently of the library's vectorised integrand
 * the cross term ``sum_{j != k} conj(T_j) T_k``, which equals the integrand
   wherever ``G`` vanishes;
 * ``A_eps`` of an equilibrium as its exact series in ``eps``, which needs
-  no quadrature and so checks the library's error bars.
+  no quadrature and so checks the library's error bars;
+* the integrand's far-field tail beyond a radius ``R`` as a series in the
+  moments ``M_m = sum_j d_j a_j^m``, independent of the library's closed
+  form.
 
 Callers keep the evaluation point away from the vortices; nothing here
 checks it.
@@ -102,3 +105,32 @@ def eps_series(config, epsilon, terms=40):
             diagonal = math.fsum(abs(c) ** 2 for c in cs)
             total.append(epsilon ** (2 * n + 2) / (n + 1) * (abs(h) ** 2 - diagonal))
     return -math.pi * math.fsum(total)
+
+
+def far_field_tail(config, radius, terms=60):
+    """The integral of the correlation integrand over ``|z| > radius`` as
+    the moment series
+
+    ``pi sum_k R^(-2k-2)/(k+1) (|c_k|^2 - sum_j d_j^4 (k+1)^2 |a_j|^(2k))``
+
+    with ``c_k = sum_{m+n=k} M_m M_n`` the coefficients of
+    ``phi^2 = sum_k c_k z^(-k-2)`` and ``M_m = sum_j d_j a_j^m``.  The angular
+    average keeps the diagonal terms of ``|phi^2|^2`` and of each
+    ``d_j^4/|z - a_j|^4``.  Positions are taken about the centre of the
+    truncation disk; the terms fall like ``(max_j |a_j| / R)^(2k)``.
+    """
+    pos = config.positions
+    circ = config.circulations
+    moments = []
+    for m in range(terms):
+        powers = [d * a**m for a, d in zip(pos, circ)]
+        moments.append(
+            complex(math.fsum(t.real for t in powers), math.fsum(t.imag for t in powers))
+        )
+    total = []
+    for k in range(terms):
+        products = [moments[m] * moments[k - m] for m in range(k + 1)]
+        c = complex(math.fsum(t.real for t in products), math.fsum(t.imag for t in products))
+        diagonal = math.fsum(d**4 * (k + 1) ** 2 * abs(a) ** (2 * k) for a, d in zip(pos, circ))
+        total.append((abs(c) ** 2 - diagonal) / (k + 1) * radius ** (-2 * k - 2))
+    return math.pi * math.fsum(total)

@@ -544,6 +544,12 @@ CONTRACT_CASES = {
     "correlation-radius-1e100": ("correlation", COLLINEAR_ROWS, 0, ["--radius", "1e100"]),
     "correlation-radius-1e110": ("correlation", COLLINEAR_ROWS, 2, ["--radius", "1e110"]),
     "correlation-radius-1e200": ("correlation", COLLINEAR_ROWS, 2, ["--radius", "1e200"]),
+    "pair-integral-scale-1e120": (
+        "pair-integral",
+        None,
+        0,
+        ["--p", "0,0", "--q", "1e120,0", "--eps", "1e119"],
+    ),
     "pair-integral-radius-1e110": (
         "pair-integral",
         None,
@@ -595,6 +601,9 @@ def test_exit_code_contract(capsys, tmp_path, case):
     if command == "correlation" and code == 0:
         payload = strict_loads(out)
         assert abs(payload["extrapolated_limit"]) <= payload["extrapolation_error"]
+    if command == "pair-integral" and code == 0:
+        payload = strict_loads(out)
+        assert payload["value"] <= payload["abs_error_estimate"]
     if expected == 2:
         assert err.startswith("error: ")
 
