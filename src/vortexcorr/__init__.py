@@ -47,7 +47,7 @@ from .correlation import (
     pair_integral,
 )
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 __all__ = [
     "__version__",

@@ -365,11 +365,11 @@ class RefinementResult:
 
 
 def _force_jacobian(config: VortexConfiguration, free_idx: Sequence[int]) -> np.ndarray:
-    """Real Jacobian of the stacked (Re f_j, Im f_j) with respect to free positions.
+    """Complex Jacobian ``d f_j / d a_k`` of the forces over the free positions.
 
-    ``d f_j / d a_k = d_j d_k / (a_j - a_k)^2`` for ``k != j`` and minus the
-    row sum for ``k == j``; each complex derivative ``h`` becomes the 2x2
-    block ``[[Re h, -Im h], [Im h, Re h]]``.
+    The forces are holomorphic in the positions, so this N x |free| complex
+    matrix is the whole derivative: ``d f_j / d a_k = d_j d_k / (a_j - a_k)^2``
+    for ``k != j`` and minus the row sum for ``k == j``.
     """
     d = np.asarray(config.circulations)
     sq = config._differences ** 2
@@ -377,13 +377,25 @@ def _force_jacobian(config: VortexConfiguration, free_idx: Sequence[int]) -> np.
     h = np.outer(d, d) / sq
     np.fill_diagonal(h, 0.0)
     np.fill_diagonal(h, -h.sum(axis=1))
-    cols = h[:, free_idx]
-    jac = np.empty((2 * len(config), 2 * len(free_idx)))
-    jac[0::2, 0::2] = cols.real
-    jac[0::2, 1::2] = -cols.imag
-    jac[1::2, 0::2] = cols.imag
-    jac[1::2, 1::2] = cols.real
-    return jac
+    return h[:, free_idx]
+
+
+def _gauge_rows(positions: np.ndarray, free_idx: Sequence[int]) -> np.ndarray:
+    """Rows ``g`` with ``g @ shift = 0`` that fix the similarity gauge of a step.
+
+    All vortices free: ``sum shift = 0`` (translation) and
+    ``sum conj(a_k - mean a) shift_k = 0`` (rotation and dilation about the
+    centroid).  One vortex ``p`` pinned: ``sum conj(a_k - a_p) shift_k = 0``
+    (rotation and dilation about ``a_p``).  Two or more pinned: none.
+    """
+    free_pos = positions[free_idx]
+    pinned = len(positions) - len(free_idx)
+    if pinned == 0:
+        return np.array([np.ones_like(free_pos), np.conj(free_pos - free_pos.mean())])
+    if pinned == 1:
+        anchor = positions[np.setdiff1d(np.arange(len(positions)), free_idx)[0]]
+        return np.conj(free_pos - anchor)[None, :]
+    return np.empty((0, len(free_idx)), dtype=np.complex128)
 
 
 def _config_with_positions(
@@ -404,22 +416,26 @@ def refine_equilibrium(
 ) -> RefinementResult:
     """Drive every force to zero by moving the positions listed in ``free``.
 
-    Newton steps solve the least-squares system for the full force vector
-    (2N real equations) over the free coordinates (2 |free| unknowns) via an
-    SVD with singular values below ``1e-10`` of the largest truncated; the
-    minimum-norm step leaves out the translations, which never change the
-    forces.  A backtracking line search only accepts steps that strictly
-    decrease the residual.
+    Newton steps solve the complex least-squares system ``J shift = -f`` for
+    the N forces over the |free| free positions (the forces are holomorphic,
+    so ``J`` is complex-linear), via an SVD with singular values below
+    ``1e-10`` of the largest truncated.  A backtracking line search only
+    accepts steps that strictly decrease the residual ``max_j |f_j|``; the
+    accepted candidate's forces are the next step's right-hand side.
 
-    The SVD does not fix the scale.  The forces are homogeneous of degree
-    -1, so ``J a = -f`` exactly: when at most one vortex is pinned, the
-    dilation ``a -> 2a`` about the centroid (or about the pinned vortex)
-    solves the Newton system, and the least-squares step is close to it.
-    Each step then halves every force while the configuration doubles, so
-    the residual can fall below the tolerance far from any equilibrium
-    (Adler-Moser n=3 perturbed by ``1e-3`` of its minimum separation, all
-    vortices free: 31 iterations, diameter 3.15 -> 6.8e9, residual times
-    ``min_separation`` still 1.6e-3).  Pinning two vortices fixes the scale.
+    Similarities map equilibria to equilibria, and the forces are
+    homogeneous of degree -1, so ``J a = -f``: without a gauge the
+    least-squares step is nearly the dilation ``a -> 2a``, which halves the
+    residual while the configuration grows without bound.  Extra rows with
+    a zero right-hand side, scaled to ``max |J|``, fix the gauge instead.
+    With all vortices free, the step keeps the centroid
+    (``sum shift = 0``) and is orthogonal to rotations and dilations about
+    it (``sum conj(a_k - mean a) shift_k = 0``).  With exactly one vortex
+    ``p`` pinned, the step is orthogonal to rotations and dilations about
+    ``a_p`` (``sum conj(a_k - a_p) shift_k = 0``).  Two or more pinned
+    vortices fix the gauge themselves and add no rows.  So the refined
+    configuration stays near the input's position and scale, and
+    refinement commutes with similarities.
 
     Circulations never change.  On non-convergence the best iterate is
     returned with ``converged=False`` and a diagnostic message.
@@ -432,33 +448,34 @@ def refine_equilibrium(
         raise IndexError(f"free indices {free_idx} out of range for {n} vortices")
 
     current = initial
-    cur_res = residual(current)
+    cur_forces = forces(current)
+    cur_res = max(map(abs, cur_forces))
     history = [cur_res]
     iterations = 0
     message = ""
 
     while cur_res > settings.tolerance and iterations < settings.max_iterations:
-        # (Re f_1, Im f_1, Re f_2, ...): the row order of the Jacobian
-        rhs = -np.array(forces(current), dtype=np.complex128).view(np.float64)
+        positions = np.array(current.positions, dtype=np.complex128)
         jac = _force_jacobian(current, free_idx)
-        step, *_ = np.linalg.lstsq(jac, rhs, rcond=1e-10)
-        # (Re, Im) pairs of the step back to one complex shift per free vortex
-        shift = step.view(np.complex128)
+        gauge = _gauge_rows(positions, free_idx)
+        gauge *= np.abs(jac).max() / np.abs(gauge).max(axis=1, keepdims=True)
+        rhs = np.concatenate([cur_forces, np.zeros(len(gauge))])
+        shift, *_ = np.linalg.lstsq(np.vstack([jac, gauge]), -rhs, rcond=1e-10)
 
         alpha = 1.0
         accepted = False
         while alpha >= 1e-12:
-            cand_pos = np.array(current.positions, dtype=np.complex128)
+            cand_pos = positions.copy()
             cand_pos[free_idx] += alpha * shift
             try:
                 candidate = _config_with_positions(current, cand_pos)
             except ConfigurationError:
                 alpha *= 0.5
                 continue
-            new_res = residual(candidate)
+            cand_forces = forces(candidate)
+            new_res = max(map(abs, cand_forces))
             if new_res < cur_res:
-                current = candidate
-                cur_res = new_res
+                current, cur_forces, cur_res = candidate, cand_forces, new_res
                 accepted = True
                 break
             alpha *= 0.5

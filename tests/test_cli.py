@@ -1,5 +1,7 @@
+import cmath
 import json
 import math
+import random
 
 import pytest
 
@@ -374,6 +376,25 @@ def test_refine_perturbed_collinear(capsys, tmp_path):
         [(v["x"], v["y"], v["d"]) for v in refined["vortices"]]
     )
     assert residual(config) < 1e-12
+
+
+def test_refine_all_free_keeps_scale(capsys, tmp_path):
+    base = equilibria.config_from_adler_moser(equilibria.adler_moser_chain(3, [1.0, 1.0]))
+    step = 1e-3 * base.min_separation
+    pattern = random.Random(0)
+    rows = []
+    for v in base.vortices:
+        z = v.position + step * cmath.exp(2j * math.pi * pattern.random())
+        rows.append((z.real, z.imag, v.circulation))
+    path = write_config(tmp_path / "am3.json", rows)
+    code, payload, _ = run_json(capsys, "refine", path, "--free", "all")
+    assert code == 0
+    assert payload["iterations"] <= 5
+    before = VortexConfiguration.from_coordinates(rows)
+    after = VortexConfiguration.from_coordinates(
+        [(v["x"], v["y"], v["d"]) for v in payload["configuration"]["vortices"]]
+    )
+    assert after.diameter == pytest.approx(before.diameter, rel=0.01)
 
 
 def test_refine_already_converged_zero_iterations(capsys, collinear_file):
