@@ -13,10 +13,8 @@ from .core import (
     Vortex,
     VortexConfiguration,
     energy,
-    force,
     forces,
     gradient,
-    is_equilibrium,
     residual,
     transform,
 )
@@ -47,7 +45,7 @@ from .correlation import (
     pair_integral,
 )
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 __all__ = [
     "__version__",
@@ -56,10 +54,8 @@ __all__ = [
     "Vortex",
     "VortexConfiguration",
     "energy",
-    "force",
     "forces",
     "gradient",
-    "is_equilibrium",
     "residual",
     "transform",
     "AdlerMoserChain",

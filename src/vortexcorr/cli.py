@@ -20,6 +20,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -267,11 +268,6 @@ def cmd_pair_integral(params: dict) -> tuple[dict, int]:
     q = _parse_plane_point(params["q"], "--q")
     eps = params["eps"]
     sep = abs(p - q)
-    if not eps < 0.5 * sep:
-        raise CliFailure(
-            EXIT_USAGE,
-            f"--eps must be below half the separation |p-q|/2 = {0.5 * sep} (got {eps})",
-        )
     radius = params.get("radius") or 50.0 * (1.0 + sep)
     try:
         spec = QuadratureSpec(
@@ -330,30 +326,16 @@ def cmd_adler_moser(params: dict) -> tuple[dict, int]:
             EXIT_DEGENERATE, f"{exc}; try perturbing the tau parameters"
         ) from exc
 
-    residual_before = residual(config)
-    payload: dict = {
+    payload = {
         "n": n,
         "taus": [_complex_dict(t) for t in taus],
         "degrees": [p.degree for p in chain.polynomials],
-        "residual_before_refinement": residual_before,
-        "refined": bool(params.get("refine")),
+        "residual": residual(config),
+        "configuration": _config_payload(config),
     }
-    exit_code = EXIT_OK
-    if params.get("refine"):
-        settings = NewtonSettings(tolerance=params["tol"], max_iterations=params["max_iter"])
-        outcome = refine_equilibrium(config, range(len(config)), settings)
-        config = outcome.configuration
-        payload["residual"] = outcome.residual
-        payload["iterations"] = outcome.iterations
-        payload["converged"] = outcome.converged
-        if not outcome.converged:
-            exit_code = EXIT_NONCONVERGENCE
-    else:
-        payload["residual"] = residual_before
-    payload["configuration"] = _config_payload(config)
     if params.get("out"):
         _write_config(params["out"], config, f"adler-moser n={n}")
-    return payload, exit_code
+    return payload, EXIT_OK
 
 
 def cmd_refine(params: dict) -> tuple[dict, int]:
@@ -444,9 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("adler-moser", help="equilibrium from a polynomial chain")
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--tau-list", help="comma-separated complex parameters tau_2..tau_n")
-    p.add_argument("--refine", action="store_true", help="Newton-refine the construction")
-    p.add_argument("--tol", type=_positive_float, default=1e-12)
-    p.add_argument("--max-iter", type=_positive_int, default=50)
     p.add_argument("--out", help="write the configuration file here")
     with_manifest(p)
 
@@ -487,8 +466,21 @@ def _dumps(value, **kwargs) -> str:
     return json.dumps(value, sort_keys=True, allow_nan=False, **kwargs)
 
 
+def _write_stdout(text: str) -> None:
+    """Write a report; a reader that closes the pipe early truncates it."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the unwritten rest would raise again when the interpreter flushes
+        # stdout at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit_json(payload: dict) -> None:
-    print(_dumps(payload, indent=2))
+    _write_stdout(_dumps(payload, indent=2) + "\n")
 
 
 def _emit_csv(payload: dict) -> None:
@@ -501,7 +493,7 @@ def _emit_csv(payload: dict) -> None:
     writer.writerow(columns)
     for row in payload.get("estimates", []):
         writer.writerow([row[c] for c in columns])
-    sys.stdout.write(buffer.getvalue())
+    _write_stdout(buffer.getvalue())
 
 
 def _write_manifest(path: str, command: str, params: dict, payload: dict) -> None:

@@ -4,7 +4,7 @@ Positions live in the complex plane (``x + iy``); circulations are nonzero
 reals.  The energy uses the ordered-pair convention: the sum runs over all
 ordered pairs ``j != k``, so every unordered pair is counted twice.  Under
 that convention the energy gradient with respect to the j-th position is
-``-2 * conj(f_j)`` where ``f_j`` is the force returned by :func:`force`.
+``-2 * conj(f_j)`` where ``f_j`` is the j-th force returned by :func:`forces`.
 
 Every pair quantity reads one cached, read-only table per configuration:
 the N x N differences ``a_j - a_k`` and the distances derived from them.
@@ -38,11 +38,9 @@ __all__ = [
     "VortexConfiguration",
     "Similarity",
     "energy",
-    "force",
     "forces",
     "gradient",
     "residual",
-    "is_equilibrium",
     "transform",
 ]
 
@@ -200,16 +198,9 @@ def energy(config: VortexConfiguration) -> float:
     return math.fsum(-2.0 * (d[j] * d[k]) * np.log(config._distances[j, k]))
 
 
-def force(config: VortexConfiguration, j: int) -> complex:
-    """The complex force ``f_j = sum_{k != j} d_j d_k / (a_j - a_k)``."""
-    n = len(config)
-    if not 0 <= j < n:
-        raise IndexError(f"vortex index {j} out of range for {n} vortices")
-    return forces(config)[j]
-
-
 def forces(config: VortexConfiguration) -> list[complex]:
-    """All forces ``f_1 .. f_N``, each a compensated sum over ``k != j``."""
+    """All forces ``f_j = sum_{k != j} d_j d_k / (a_j - a_k)``, each a
+    compensated sum."""
     n = len(config)
     d = np.asarray(config.circulations)
     off = ~np.eye(n, dtype=bool)
@@ -229,13 +220,6 @@ def gradient(config: VortexConfiguration) -> list[complex]:
 def residual(config: VortexConfiguration) -> float:
     """Scalar distance from equilibrium: ``max_j |f_j|``."""
     return max(abs(f) for f in forces(config))
-
-
-def is_equilibrium(config: VortexConfiguration, tol: float) -> bool:
-    """True iff ``residual(config) <= tol``.  Requires ``tol > 0``."""
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError("tol must be positive and finite")
-    return residual(config) <= tol
 
 
 def transform(config: VortexConfiguration, similarity: Similarity) -> VortexConfiguration:

@@ -4,7 +4,7 @@
 the plane with a disk of radius ``eps`` removed around every vortex; the
 correlation coefficient ``A`` is its ``eps -> 0`` limit.  At every
 equilibrium that limit is zero, which this module reproduces numerically:
-truncate to a large disk ``B_R``, integrate adaptively, add the exact
+truncate to a disk ``B_R``, integrate adaptively, add the exact
 far-field tail, and extrapolate a short list of shrinking ``eps`` values.
 
 :func:`correlation_limit` integrates the eps-independent part once.  One
@@ -152,22 +152,12 @@ def _far_field_tail(frame: VortexConfiguration, radius: float) -> float:
     return float(total.real)
 
 
-def _validate_radius(config: VortexConfiguration, spec: QuadratureSpec) -> None:
-    need = 2.0 * (config.diameter + 1.0)
-    if not spec.cutoff_radius > need:
-        raise ValueError(
-            f"cutoff_radius {spec.cutoff_radius} must exceed "
-            f"2 * (diameter + 1) = {need}"
-        )
-
-
 def _validate_excision(config: VortexConfiguration, spec: QuadratureSpec) -> None:
     if not spec.epsilon < 0.5 * config.min_separation:
         raise ValueError(
             f"epsilon {spec.epsilon} must be below half the minimum pairwise "
             f"distance {0.5 * config.min_separation}; the excised disks overlap"
         )
-    _validate_radius(config, spec)
 
 
 def _frame(
@@ -204,18 +194,17 @@ def _pair(
 ) -> tuple[complex, float, float, int, bool]:
     """The two-disk integral of ``d_j^2 d_k^2 / (conj(z-a_j)^2 (z-a_k)^2)``.
 
-    Checks ``epsilon`` and ``R`` in the caller's units, integrates over
-    ``B_R`` minus the two ``epsilon``-disks in the frame of ``config`` and
-    adds the exact tail.  Returns the fields of a :class:`QuadratureResult`
-    in the caller's units, with the corrected complex estimate as the value
-    and the real part of the tail as the tail correction.
+    Checks ``epsilon`` in the caller's units, integrates over ``B_R`` minus
+    the two ``epsilon``-disks in the frame of ``config`` and adds the exact
+    tail.  Returns the fields of a :class:`QuadratureResult` in the
+    caller's units, with the corrected complex estimate as the value and
+    the real part of the tail as the tail correction.
     """
     half = 0.5 * abs(config.positions[j] - config.positions[k])
     if not epsilon < half:
         raise ValueError(
             f"epsilon {epsilon} must be below half the pair separation {half}"
         )
-    _validate_radius(config, spec)
     frame, spec, shrink = _frame(config, replace(spec, epsilon=epsilon))
     p, q = frame.positions[j], frame.positions[k]
     weight = (config.circulations[j] * config.circulations[k]) ** 2
@@ -486,16 +475,12 @@ def correlation_limit(
     )
 
 
-def default_quadrature_spec(
-    config: VortexConfiguration, epsilon: float | None = None
-) -> QuadratureSpec:
+def default_quadrature_spec(config: VortexConfiguration) -> QuadratureSpec:
     """Defaults: ``eps = 0.1 * min separation``, ``R = 50 * (1 + diameter)``,
     target ``1e-5``, two million cells."""
-    if epsilon is None:
-        sep = config.min_separation
-        epsilon = 0.1 * sep if math.isfinite(sep) else 0.1
+    sep = config.min_separation
     return QuadratureSpec(
-        epsilon=float(epsilon),
+        epsilon=0.1 * sep if math.isfinite(sep) else 0.1,
         cutoff_radius=50.0 * (1.0 + config.diameter),
         target_abs_error=1e-5,
         max_cells=2_000_000,

@@ -398,17 +398,6 @@ def _gauge_rows(positions: np.ndarray, free_idx: Sequence[int]) -> np.ndarray:
     return np.empty((0, len(free_idx)), dtype=np.complex128)
 
 
-def _config_with_positions(
-    template: VortexConfiguration, positions: Sequence[complex]
-) -> VortexConfiguration:
-    return VortexConfiguration(
-        tuple(
-            Vortex(complex(p), v.circulation)
-            for p, v in zip(positions, template.vortices)
-        )
-    )
-
-
 def refine_equilibrium(
     initial: VortexConfiguration,
     free: Sequence[int],
@@ -468,7 +457,9 @@ def refine_equilibrium(
             cand_pos = positions.copy()
             cand_pos[free_idx] += alpha * shift
             try:
-                candidate = _config_with_positions(current, cand_pos)
+                candidate = VortexConfiguration.from_pairs(
+                    zip(cand_pos, current.circulations)
+                )
             except ConfigurationError:
                 alpha *= 0.5
                 continue

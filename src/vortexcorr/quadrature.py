@@ -365,7 +365,8 @@ def integrate_excised_disk(
     for c, m in zip(centers.tolist(), moduli.tolist()):
         if not m < cutoff_radius:
             raise ValueError(
-                f"excision at {c} does not fit inside the cutoff radius {cutoff_radius}"
+                f"excision at {c} does not fit inside the cutoff radius "
+                f"{cutoff_radius} in the integration frame"
             )
     # room: distance to the nearest other centre or, at twice the distance to
     # it, to the truncation circle; np.hypot rounds like Python's complex abs
@@ -381,8 +382,8 @@ def integrate_excised_disk(
     if len(tight):
         i = tight[0]
         raise ValueError(
-            f"excision radius {epsilon} leaves no room for the cutoff "
-            f"around point {i} (nearest neighbour at distance {room[i]})"
+            f"excision radius {epsilon} leaves no room for the cutoff around "
+            f"point {i} (room {room[i]} in the integration frame)"
         )
 
     holes = (centers, plateaus, supports)

@@ -1,10 +1,15 @@
 import cmath
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import vortexcorr
 import vortexcorr.equilibria as equilibria
 from vortexcorr import (
     RootConvergenceError,
@@ -274,7 +279,7 @@ def test_pair_integral_moebius_block_closed_form(capsys):
 def test_pair_integral_eps_too_large_exit_2(capsys):
     code, out, err = run_cli(capsys, "pair-integral", "--p", "0,0", "--q", "1,0", "--eps", "0.6")
     assert code == 2
-    assert "half the separation" in err
+    assert "half the pair separation" in err
 
 
 def test_pair_integral_infinite_point_exit_2(capsys):
@@ -334,10 +339,11 @@ def test_adler_moser_chain_defect_exit_4(capsys):
     assert "Traceback" not in err
 
 
-def test_adler_moser_n3_refined(capsys):
-    code, payload, _ = run_json(
-        capsys, "adler-moser", "--n", "3", "--tau-list", "1,1", "--refine"
-    )
+def test_adler_moser_n3_refined(capsys, tmp_path):
+    path = str(tmp_path / "am3.json")
+    code, _, _ = run_cli(capsys, "adler-moser", "--n", "3", "--tau-list", "1,1", "--out", path)
+    assert code == 0
+    code, payload, _ = run_json(capsys, "refine", path)
     assert code == 0
     assert payload["residual"] < 1e-12
     assert payload["converged"] is True
@@ -538,6 +544,49 @@ def test_repeated_cli_runs_are_bit_identical(capsys, collinear_file):
     assert out1 == out2
 
 
+def run_into_closed_pipe(*argv):
+    """Run the CLI in a new interpreter whose stdout reader has already gone."""
+    package_root = str(Path(vortexcorr.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "vortexcorr", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    return proc.returncode, proc.stderr
+
+
+def test_closed_stdout_keeps_the_exit_code(collinear_file, tmp_path):
+    # a reader that stops early (`| head -1`) only truncates the report: the
+    # exit code is the command's own and a requested manifest is written
+    manifest = tmp_path / "run.json"
+    far = write_config(
+        tmp_path / "far.json", [(-1.0, 0.0, 1.0), (0.4, 0.3, -0.5), (1.0, 0.0, 1.0)]
+    )
+    runs = [
+        (["check", collinear_file], 0),
+        (["correlation", collinear_file, "--format", "csv", "--manifest", str(manifest)], 0),
+        (["replay", str(manifest)], 0),
+        (["refine", far, "--free", "1", "--max-iter", "1"], 4),
+    ]
+    errs = {}
+    for argv, expected in runs:
+        code, errs[argv[0]] = run_into_closed_pipe(*argv)
+        assert code == expected, errs[argv[0]]
+        assert "Traceback" not in errs[argv[0]]
+        assert "Broken pipe" not in errs[argv[0]]
+    assert json.loads(manifest.read_text())["command"] == "correlation"
+    assert "reproduce bit-exactly" in errs["replay"]
+
+
 def test_usage_error_exit_2(capsys):
     code, out, err = run_cli(capsys, "no-such-command")
     assert code == 2
@@ -565,6 +614,8 @@ CONTRACT_CASES = {
     "correlation-radius-1e100": ("correlation", COLLINEAR_ROWS, 0, ["--radius", "1e100"]),
     "correlation-radius-1e110": ("correlation", COLLINEAR_ROWS, 2, ["--radius", "1e110"]),
     "correlation-radius-1e200": ("correlation", COLLINEAR_ROWS, 2, ["--radius", "1e200"]),
+    # vortices at -1 and 1 lie outside B_R
+    "correlation-radius-0.5": ("correlation", COLLINEAR_ROWS, 2, ["--radius", "0.5"]),
     "pair-integral-scale-1e120": (
         "pair-integral",
         None,

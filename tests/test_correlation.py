@@ -103,9 +103,6 @@ def test_pair_integral_preconditions():
     spec = QuadratureSpec(epsilon=0.6, cutoff_radius=100.0)
     with pytest.raises(ValueError, match="half the pair separation"):
         pair_integral(0.0, 1.0, 0.6, spec)
-    small = QuadratureSpec(epsilon=0.1, cutoff_radius=3.0)
-    with pytest.raises(ValueError, match="cutoff_radius"):
-        pair_integral(0.0, 1.0, 0.1, small)
 
 
 def test_pair_tail_is_exact_on_an_annulus():
@@ -170,10 +167,24 @@ def test_a_eps_overlap_rejected():
         correlation_A_eps(config, QuadratureSpec(0.6, 50.0))
 
 
-def test_a_eps_radius_rejected():
-    config = collinear_triple()
-    with pytest.raises(ValueError, match="cutoff_radius"):
-        correlation_A_eps(config, QuadratureSpec(0.1, 5.0))
+def test_a_eps_at_a_radius_below_the_diameter():
+    # the far-field tail is exact for any R whose disk holds every hole
+    configs = [
+        collinear_triple(),
+        config_from_adler_moser(adler_moser_chain(3, [1.0, 1.0])),
+        VortexConfiguration.from_pairs([(-1.0, 1.0), (0.05j, -0.5), (1.0, 1.0)]),
+    ]
+    for config in configs:
+        spec = default_quadrature_spec(config)
+        wide = correlation_A_eps(config, spec)
+        tight = correlation_A_eps(
+            config, replace(spec, cutoff_radius=0.75 * config.diameter)
+        )
+        assert tight.converged
+        bar = wide.abs_error_estimate + tight.abs_error_estimate
+        assert abs(tight.value - wide.value) <= bar
+    with pytest.raises(ValueError, match="does not fit inside the cutoff radius"):
+        correlation_A_eps(collinear_triple(), QuadratureSpec(0.1, 0.9))
 
 
 def test_two_radius_tail_consistency(cube_roots):
@@ -237,23 +248,30 @@ def test_translation_and_binary_scaling_keep_bits():
     assert cross_pair_truncated(moved, 0, 1, 0.1, spec) == pair
     assert pair_integral(p + shift, q + shift, 0.1, pair_spec) == alone
 
-    s = 2.0**300
-    big = transform(base, Similarity(scale=s))
-    big_spec = QuadratureSpec(
-        spec.epsilon * s, spec.cutoff_radius * s, spec.target_abs_error / (s * s)
-    )
-    scaled = correlation_limit(big, [e * s for e in eps], big_spec)
-    assert scaled.extrapolated_limit == report.extrapolated_limit / (s * s)
-    assert scaled.extrapolation_error == report.extrapolation_error / (s * s)
-    for big_est, est in zip(scaled.estimates, report.estimates):
-        assert big_est.value == est.value / (s * s)
-        assert big_est.abs_error_estimate == est.abs_error_estimate / (s * s)
-        assert big_est.cells_used == est.cells_used
-    big_pair_spec = QuadratureSpec(0.1 * s, 20.0 * s, 1e-4 / (s * s))
-    big_alone = pair_integral(p * s, q * s, 0.1 * s, big_pair_spec)
-    assert big_alone.value == alone.value / (s * s)
-    assert big_alone.abs_error_estimate == alone.abs_error_estimate / (s * s)
-    assert big_alone.cells_used == alone.cells_used
+    # not below 2**-20: the separation floor 1e-9 (1 + diameter) rejects the
+    # triple at 2**-30
+    for s in (2.0**300, 2.0**-20):
+        scaled = transform(base, Similarity(scale=s))
+        scaled_spec = QuadratureSpec(
+            spec.epsilon * s, spec.cutoff_radius * s, spec.target_abs_error / (s * s)
+        )
+        scaled_report = correlation_limit(scaled, [e * s for e in eps], scaled_spec)
+        assert scaled_report.extrapolated_limit == report.extrapolated_limit / (s * s)
+        assert scaled_report.extrapolation_error == report.extrapolation_error / (s * s)
+        for est, unit in zip(scaled_report.estimates, report.estimates):
+            _assert_scaled_bits(est, unit, s)
+        scaled_pair = cross_pair_truncated(scaled, 0, 1, 0.1 * s, scaled_spec)
+        _assert_scaled_bits(scaled_pair, pair, s)
+        scaled_pair_spec = QuadratureSpec(0.1 * s, 20.0 * s, 1e-4 / (s * s))
+        scaled_alone = pair_integral(p * s, q * s, 0.1 * s, scaled_pair_spec)
+        _assert_scaled_bits(scaled_alone, alone, s)
+
+
+def _assert_scaled_bits(result, unit, s):
+    """``result`` is ``unit`` computed on a copy scaled by ``s``."""
+    assert result.value == unit.value / (s * s)
+    assert result.abs_error_estimate == unit.abs_error_estimate / (s * s)
+    assert result.cells_used == unit.cells_used
 
 
 def test_a_eps_budget_exhaustion():

@@ -32,10 +32,8 @@ PUBLIC_NAMES = [
     "default_epsilon_list",
     "default_quadrature_spec",
     "energy",
-    "force",
     "forces",
     "gradient",
-    "is_equilibrium",
     "moebius_params",
     "pair_integral",
     "refine_equilibrium",
