@@ -22,7 +22,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__
@@ -167,18 +167,11 @@ def _parse_plane_point(text: str, flag: str) -> complex:
 
 
 def _parse_eps_list(text: str) -> list[float]:
+    # correlation_limit owns the rules on the list
     try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
+        return [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise CliFailure(EXIT_USAGE, f"--eps-list expects comma-separated numbers: {exc}")
-    if len(values) < 2:
-        raise CliFailure(EXIT_USAGE, "--eps-list needs at least two values")
-    for a, b in zip(values, values[1:]):
-        if not b < a:
-            raise CliFailure(EXIT_USAGE, "--eps-list must be strictly decreasing")
-    if values[-1] <= 0.0:
-        raise CliFailure(EXIT_USAGE, "--eps-list values must be positive")
-    return values
 
 
 def cmd_energy(params: dict) -> tuple[dict, int]:
@@ -214,7 +207,8 @@ def cmd_correlation(params: dict) -> tuple[dict, int]:
         if params.get("eps_list")
         else default_epsilon_list(config)
     )
-    radius = params.get("radius") or default_quadrature_spec(config).cutoff_radius
+    defaults = default_quadrature_spec(config)
+    radius = params.get("radius") or defaults.cutoff_radius
     res = residual(config)
     allow = bool(params.get("allow_nonequilibrium"))
     payload: dict = {
@@ -234,8 +228,8 @@ def cmd_correlation(params: dict) -> tuple[dict, int]:
             "pass --allow-nonequilibrium for truncated estimates only",
         )
     try:
-        spec = QuadratureSpec(
-            epsilon=eps_values[0],
+        spec = replace(
+            defaults,
             cutoff_radius=radius,
             target_abs_error=params["target_error"],
             max_cells=params["max_cells"],
@@ -267,9 +261,9 @@ def cmd_pair_integral(params: dict) -> tuple[dict, int]:
     p = _parse_plane_point(params["p"], "--p")
     q = _parse_plane_point(params["q"], "--q")
     eps = params["eps"]
-    sep = abs(p - q)
-    radius = params.get("radius") or 50.0 * (1.0 + sep)
     try:
+        pair = VortexConfiguration.from_pairs([(p, 1.0), (q, 1.0)])
+        radius = params.get("radius") or default_quadrature_spec(pair).cutoff_radius
         spec = QuadratureSpec(
             epsilon=eps,
             cutoff_radius=radius,
@@ -277,7 +271,7 @@ def cmd_pair_integral(params: dict) -> tuple[dict, int]:
             max_cells=params["max_cells"],
         )
         result = pair_integral(p, q, eps, spec)
-        mp = moebius_params(eps / sep)
+        mp = moebius_params(eps / abs(p - q))
     except ValueError as exc:
         raise CliFailure(EXIT_USAGE, str(exc)) from exc
     payload = {

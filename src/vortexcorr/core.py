@@ -47,9 +47,9 @@ __all__ = [
 # Circulations with |d| below this are rejected as effectively zero.
 CIRCULATION_FLOOR = 1e-12
 
-# Vortices closer than this fraction of (1 + diameter) are rejected: the
-# energy and forces blow up and quadrature excision disks cannot separate
-# the points.
+# Vortices no farther apart than this fraction of the diameter are rejected:
+# the energy and forces blow up and quadrature excision disks cannot separate
+# the points.  Relative to the diameter alone, so the rule is scale-free.
 SEPARATION_FLOOR_SCALE = 1e-9
 
 
@@ -74,7 +74,7 @@ class VortexConfiguration:
     * at least one vortex, all coordinates and pairwise distances finite;
     * every ``|circulation| >= CIRCULATION_FLOOR``;
     * the minimum pairwise distance exceeds
-      ``SEPARATION_FLOOR_SCALE * (1 + diameter)``.
+      ``SEPARATION_FLOOR_SCALE * diameter``.
     """
 
     vortices: tuple[Vortex, ...]
@@ -103,13 +103,14 @@ class VortexConfiguration:
                 f"vortices {j} and {k} are too far apart: their distance "
                 "overflows the floating-point range"
             )
-        floor = SEPARATION_FLOOR_SCALE * (1.0 + diameter)
-        close = np.argwhere(np.triu(self._distances < floor, 1))
+        floor = SEPARATION_FLOOR_SCALE * diameter
+        # at or below: two coincident vortices alone have diameter 0
+        close = np.argwhere(np.triu(self._distances <= floor, 1))
         if len(close):
             j, k = close[0]  # the first pair in row-major (j < k) order
             raise ConfigurationError(
                 f"vortices {j} and {k} are separated by "
-                f"{self._distances[j, k]:.3e}, below the floor {floor:.3e}"
+                f"{self._distances[j, k]:.3e}, not above the floor {floor:.3e}"
             )
 
     @classmethod

@@ -7,26 +7,24 @@ equilibrium that limit is zero, which this module reproduces numerically:
 truncate to a disk ``B_R``, integrate adaptively, add the exact
 far-field tail, and extrapolate a short list of shrinking ``eps`` values.
 
-:func:`correlation_limit` integrates the eps-independent part once.  One
-excised-disk run gives ``A_eps`` at the largest ``eps_1``; every smaller
-``eps_i`` adds the rings ``eps_i < |z - a_k| < eps_1``, integrated together
-in one adaptive run with a polar region per vortex.  This is exact, not an
-approximation: the main run covers exactly ``B_R`` minus the
-``eps_1``-disks, and the rings fill the part of those disks outside the
-``eps_i``-disks, disjointly because ``eps_1`` is below half the minimum
-separation.  So ``A_eps_i = A_eps_1 + sum_k ring_k(eps_i, eps_1)``.
-Estimate ``i`` reports the cells its value rests on -- the main run's,
-which every estimate shares, plus its own ring's -- and the sum of the two
-adaptive errors.  Because the main run's error is common to every estimate
-it cancels in differences and passes through the extrapolation once (the
-Lagrange weights sum to one); only the ring errors are independent noise,
+:func:`correlation_limit` integrates adaptively once, at the largest
+``eps_1``.  Every smaller ``eps_i`` adds the rings ``eps_i < |z - a_k| <
+eps_1`` as ``C(eps_i) - C(eps_1)``, where ``C`` is the contour form of
+``A_eps`` (:func:`_contour_A_eps`): by Stokes' theorem ``A_eps`` is a sum
+of integrals over the ``eps``-circles, which the trapezoid rule evaluates
+to rounding with a bound, and no truncation radius or cell enters.  So
+``A_eps_i = A_eps_1 + C(eps_i) - C(eps_1)``, and every estimate rests on
+the one adaptive run: its error is common to every estimate, cancels in
+differences and passes through the extrapolation once (the Lagrange
+weights sum to one); only the ring bounds are independent noise,
 amplified by the extrapolation weights.
 
 Every integral of a configuration runs in the frame ``(z - t) / 2^k``
 that :func:`_frame` picks from the centroid and the diameter, so a
 configuration far from the origin, or at any scale, meets the same
 floating-point range as one of unit size.  Values and errors come back
-to the caller's units by a power-of-two factor, which is exact.
+to the caller's units by a power-of-two factor, which is exact, and so do
+the lengths in the message when the holes do not fit ``B_R``.
 
 The pair kernel ``1/(conj(z-p)^2 (z-q)^2)`` integrates to zero over the
 plane minus eps-disks at ``p`` and ``q`` (the two-disk identity), which one
@@ -41,18 +39,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .core import VortexConfiguration, forces
 from .rational import integrand_values
-from .quadrature import (
-    QuadratureResult,
-    QuadratureSpec,
-    _integrate_annuli,
-    integrate_excised_disk,
-)
+from .quadrature import QuadratureResult, QuadratureSpec, _Misfit, integrate_excised_disk
 
 __all__ = [
     "MoebiusParams",
@@ -152,12 +145,68 @@ def _far_field_tail(frame: VortexConfiguration, radius: float) -> float:
     return float(total.real)
 
 
-def _validate_excision(config: VortexConfiguration, spec: QuadratureSpec) -> None:
-    if not spec.epsilon < 0.5 * config.min_separation:
-        raise ValueError(
-            f"epsilon {spec.epsilon} must be below half the minimum pairwise "
-            f"distance {0.5 * config.min_separation}; the excised disks overlap"
-        )
+def _contour_A_eps(frame: VortexConfiguration, epsilon: float) -> tuple[float, float, float]:
+    """``A_eps`` of a framed configuration by Stokes' theorem, with a bound.
+
+    ``U = V phi^2 + sum_j d_j^4 / (conj(z-a_j) (z-a_j)^2)`` with ``V = -sum_j
+    d_j^2/conj(z-a_j) + sum_j conj(g_j) log|z-a_j|^2`` has ``dU/dz-bar`` equal
+    to the integrand and is ``O(|z|^-3)``, so ``A_eps = -(1/2i) sum_m
+    oint_{|z-a_m|=eps} U dz``.  On circle ``m`` vortex ``m``'s own terms of
+    ``V`` and of the sum cancel; ``(conj(g_m) log eps^2 + V_m(a_m)) phi^2``,
+    ``V_m(a_m)`` the rest of ``V`` at the centre, is done by residues.  The
+    remainder is analytic in ``w = z - a_m`` for ``eps/rho < |w| < eps rho``,
+    ``rho`` the minimum separation over ``eps``.  With ``s = sqrt(rho)`` the
+    ``M``-node trapezoid rule errs by at most ``4 pi K / (s^M - 1)``, ``K``
+    bounding the remainder times ``w`` on ``eps/s <= |w| <= eps s``
+    (Trefethen & Weideman, SIAM Rev. 56, 2014); ``M`` is the least count
+    that puts their sum below ``2^-53 pi S``, ``S`` bounding the summed
+    magnitudes.
+
+    Returns ``(value, trapezoid, rounding)``: that bound, ``K`` bounded term
+    by term, and the first-order rounding estimate ``(N + M + 8) 2^-53 pi S``.
+    """
+    n = len(frame)
+    if n == 1:
+        # no other vortex: U vanishes on the circle
+        return 0.0, 0.0, 0.0
+    a = np.asarray(frame.positions)
+    d = np.asarray(frame.circulations)
+    g = 2.0 * np.asarray(forces(frame))
+    # axes: circle m, node, the vortices j != m
+    j = np.array([[k for k in range(n) if k != m] for m in range(n)])[:, None, :]
+    b, dj, gj = a[j] - a[:, None, None], d[j], g[j]
+    dist = np.abs(b)
+
+    def k_max(x: float, inner: float) -> np.ndarray:
+        # |remainder w| per circle on inner <= |w| <= x, with eps^2/|w| <= x, so
+        # that |u| >= dist - x and |w/b|, |eps^2/(w conj(b))| <= x/dist
+        room = dist - x
+        v_max = dj * dj * x / (dist * room) - 2.0 * np.abs(gj) * np.log1p(-x / dist)
+        phi_max = np.abs(d) / inner + (np.abs(dj) / room).sum(axis=(1, 2))
+        squares = (dj**4 / room**3).sum(axis=(1, 2))
+        return x * (v_max.sum(axis=(1, 2)) * phi_max**2 + squares)
+
+    s = math.sqrt(frame.min_separation / epsilon)
+    outer = math.fsum(k_max(epsilon * s, epsilon / s))
+    centre_max = (dj * dj / dist + np.abs(gj * np.log(dist * dist))).sum(axis=(1, 2))
+    residue_max = np.abs(g) * (np.abs(g) * abs(math.log(epsilon * epsilon)) + centre_max)
+    # bounds every summed magnitude, on the circle and in the residues
+    scale = math.fsum(k_max(epsilon, epsilon) + residue_max)
+    # the least node count whose trapezoid bound is below 2^-53 pi scale
+    nodes = math.ceil(math.log1p(2.0**54 * outer / scale) / math.log(s))
+    w = epsilon * np.exp(2j * math.pi / nodes * np.arange(nodes))
+
+    u, ratio = w[:, None] - b, w[:, None] / b
+    # V_m - V_m(a_m), with log|1 - w/b|^2 taken without rounding 1 - w/b
+    log = np.log1p(ratio.real * (ratio.real - 2.0) + ratio.imag**2)
+    v = (-dj * dj * np.conj(ratio) / np.conj(u) + np.conj(gj) * log).sum(axis=2)
+    phi = d[:, None] / w + (dj / u).sum(axis=2)
+    f = (v * phi * phi + (dj**4 / (np.conj(u) * u * u)).sum(axis=2)) * w
+    centre = (dj * dj / np.conj(b) + np.conj(gj) * np.log(dist * dist)).sum(axis=(1, 2))
+    residue = (np.conj(g) * math.log(epsilon * epsilon) + centre) * g
+    value = -math.pi * float((f.mean(axis=1) + residue).sum().real)
+    trapezoid = 2.0 * math.pi * outer / (s**nodes - 1.0)
+    return value, trapezoid, (n + nodes + 8) * 2.0**-53 * math.pi * scale
 
 
 def _frame(
@@ -189,6 +238,22 @@ def _frame(
     return frame, spec, shrink
 
 
+def _integrate(
+    f: Callable[[np.ndarray], np.ndarray],
+    centers: Sequence[complex],
+    spec: QuadratureSpec,
+    shrink: float,
+) -> tuple[complex, float, int, bool]:
+    """:func:`integrate_excised_disk` on a framed spec, misfits in caller units."""
+    try:
+        return integrate_excised_disk(
+            f, centers, spec.epsilon, spec.cutoff_radius, spec.target_abs_error, spec.max_cells
+        )
+    except _Misfit as misfit:
+        template, *lengths = misfit.args
+        raise _Misfit(template, *(x / shrink for x in lengths)) from None
+
+
 def _pair(
     config: VortexConfiguration, j: int, k: int, epsilon: float, spec: QuadratureSpec
 ) -> tuple[complex, float, float, int, bool]:
@@ -215,9 +280,7 @@ def _pair(
         g = 1.0 / (np.conj(zs - p) * (zs - q))
         return weight * (g * g)
 
-    raw, err, cells, converged = integrate_excised_disk(
-        f, [p, q], spec.epsilon, spec.cutoff_radius, spec.target_abs_error, spec.max_cells
-    )
+    raw, err, cells, converged = _integrate(f, [p, q], spec, shrink)
     tail = weight * _pair_tail(p, q, spec.cutoff_radius)
     area = shrink * shrink
     return (raw + tail) * area, err * area, tail.real * area, cells, converged
@@ -259,18 +322,19 @@ def correlation_A_eps(
         return QuadratureResult(
             value=0.0, abs_error_estimate=0.0, tail_correction=0.0, cells_used=0
         )
-    _validate_excision(config, spec)
+    if not spec.epsilon < 0.5 * config.min_separation:
+        raise ValueError(
+            f"epsilon {spec.epsilon} must be below half the minimum pairwise "
+            f"distance {0.5 * config.min_separation}; the excised disks overlap"
+        )
     frame, spec, shrink = _frame(config, spec)
-    radius = spec.cutoff_radius
 
     def f(zs: np.ndarray) -> np.ndarray:
         return integrand_values(frame, zs)
 
-    raw, err, cells, converged = integrate_excised_disk(
-        f, frame.positions, spec.epsilon, radius, spec.target_abs_error, spec.max_cells
-    )
+    raw, err, cells, converged = _integrate(f, frame.positions, spec, shrink)
     area = shrink * shrink
-    tail = _far_field_tail(frame, radius)
+    tail = _far_field_tail(frame, spec.cutoff_radius)
     return QuadratureResult(
         value=(raw.real + tail) * area,
         abs_error_estimate=err * area,
@@ -304,8 +368,8 @@ def cross_pair_truncated(
 class CorrelationReport:
     """A_eps estimates over a shrinking eps-list with an extrapolated limit.
 
-    Every estimate after the first shares the first one's excised-disk run:
-    its ``cells_used`` counts those shared cells plus its own ring cells.
+    Every estimate after the first adds exact contour rings to the first
+    one's excised-disk run, so all of them report that run's cells.
 
     ``order_estimate`` is the empirical decay order fitted from the ratio
     of successive differences.  ``fit_degenerate`` is set when the
@@ -320,15 +384,6 @@ class CorrelationReport:
     extrapolation_error: float
     fit_degenerate: bool = False
     order_estimate: float | None = None
-
-    def __post_init__(self) -> None:
-        if len(self.epsilons) != len(self.estimates):
-            raise ValueError("epsilons and estimates must have equal length")
-        if len(self.epsilons) < 2:
-            raise ValueError("at least two epsilon values are required")
-        for a, b in zip(self.epsilons, self.epsilons[1:]):
-            if not b < a:
-                raise ValueError("epsilons must be strictly decreasing")
 
 
 def _lagrange_at_zero(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
@@ -354,27 +409,21 @@ def correlation_limit(
 ) -> CorrelationReport:
     """Estimate ``lim A_eps`` from estimates over a shrinking eps-list.
 
-    The estimates share one excised-disk run at the largest ``eps_1`` and
-    add rings for every smaller ``eps_i`` (see the module docstring).  The
-    rings run first at half of ``spec.target_abs_error``; the main run then
-    gets the target minus the largest ring error, so every estimate's
-    adaptive error stays within the target, and ``spec.max_cells`` minus
-    the largest ring's cells.
+    One excised-disk run at the largest ``eps_1`` gets all of ``spec``'s
+    target and cells; every smaller ``eps_i`` adds contour rings to it (see
+    the module docstring).  At an equilibrium the excision dependence
+    expands in even powers of ``eps``: each removed disk subtracts disk
+    integrals of functions that are smooth there, and the two singular disks
+    of every ordered pair contribute exactly zero at any radius by the
+    two-disk identity.  The limit is therefore obtained by Richardson
+    extrapolation in ``x = eps^2`` through the last (up to three) estimates.
 
-    At an equilibrium the excision dependence expands in even powers of
-    ``eps``: each removed disk subtracts disk integrals of functions that
-    are smooth there, and the two singular disks of every ordered pair
-    contribute exactly zero at any radius by the two-disk identity.  The
-    limit is therefore obtained by Richardson extrapolation in
-    ``x = eps^2`` through the last (up to three) estimates.
-
-    The main run's error enters the extrapolation error once and the ring
-    errors are amplified by the Lagrange weights (see the module
-    docstring).  The empirical decay order from the ratio of successive
-    differences is reported as a diagnostic; when the differences fail to
-    contract (as for non-equilibria, where the truncated values grow like
-    ``log(1/eps)``) or sit below three times the ring noise, the fit is
-    flagged degenerate and the last estimate is reported unchanged.
+    The empirical decay order from the ratio of successive differences is
+    reported as a diagnostic.  When the differences fail to contract (as for
+    non-equilibria, where the truncated values grow like ``log(1/eps)``) or
+    sit below three times the ring noise, or when the main run estimated
+    nothing (an infinite error), the fit is flagged degenerate and the last
+    estimate is reported unchanged.
     """
     eps = [float(e) for e in epsilons]
     if len(eps) < 2:
@@ -384,76 +433,46 @@ def correlation_limit(
             raise ValueError("epsilons must be strictly decreasing")
     if not eps[-1] > 0.0:
         raise ValueError("epsilons must be positive")
-    target = spec.target_abs_error
-    # a single vortex has no rings to integrate: every estimate is exactly 0
-    rings = [(0.0, 0.0, 0, True)] * (len(eps) - 1)
-    main_spec = replace(spec, epsilon=eps[0])
-    if len(config) > 1:
-        _validate_excision(config, main_spec)
-        frame, frame_spec, shrink = _frame(config, main_spec)
-        area = shrink * shrink
-        half = 0.5 * frame_spec.target_abs_error
-
-        def f(zs: np.ndarray) -> np.ndarray:
-            return integrand_values(frame, zs)
-
-        rings = []
-        for e in eps[1:]:
-            raw, err, cells, converged = _integrate_annuli(
-                f, frame.positions, e * shrink, frame_spec.epsilon, half, spec.max_cells
-            )
-            # only the real part is used, in the caller's units
-            rings.append((raw.real * area, err * area, cells, converged))
-        # a ring that missed its half of the target is flagged unconverged;
-        # the main run still keeps at least the other half
-        worst = max(err for _, err, _, _ in rings)
-        main_spec = replace(
-            main_spec,
-            target_abs_error=target - min(worst, 0.5 * target),
-            max_cells=max(spec.max_cells - max(cells for _, _, cells, _ in rings), 1),
-        )
-    main = correlation_A_eps(config, main_spec)
+    main = correlation_A_eps(config, replace(spec, epsilon=eps[0]))
+    frame, _, shrink = _frame(config, spec)
+    area = shrink * shrink
+    (value_1, *bound_1), *rest = [_contour_A_eps(frame, e * shrink) for e in eps]
+    # ring i is C(eps_i) - C(eps_1), bounded by the sum of both contour bounds
+    rings = [
+        ((value - value_1) * area, math.fsum(bound + bound_1) * area)
+        for value, *bound in rest
+    ]
     estimates = (main,) + tuple(
         QuadratureResult(
-            value=main.value + raw,
-            abs_error_estimate=main.abs_error_estimate + err,
+            value=main.value + ring,
+            abs_error_estimate=main.abs_error_estimate + noise,
             tail_correction=main.tail_correction,
-            cells_used=main.cells_used + cells,
-            converged=main.converged and converged,
+            cells_used=main.cells_used,
+            converged=main.converged,
         )
-        for raw, err, cells, converged in rings
+        for ring, noise in rings
     )
     values = [est.value for est in estimates]
-    noises = [0.0] + [err for _, err, _, _ in rings]
+    noises = [0.0] + [noise for _, noise in rings]
 
     use = min(3, len(eps))
     xs = [e * e for e in eps[-use:]]
     ys = values[-use:]
     noise = math.fsum(noises[-use:])
 
-    d_last = values[-1] - values[-2]
-    if abs(d_last) <= 3.0 * noise:
-        return CorrelationReport(
-            epsilons=tuple(eps),
-            estimates=estimates,
-            extrapolated_limit=values[-1],
-            extrapolation_error=estimates[-1].abs_error_estimate,
-            fit_degenerate=True,
-        )
+    def degenerate(error: float) -> CorrelationReport:
+        return CorrelationReport(tuple(eps), estimates, values[-1], error, fit_degenerate=True)
 
+    d_last = values[-1] - values[-2]
+    # a main run that estimated nothing supports no fit
+    if abs(d_last) <= 3.0 * noise or not math.isfinite(main.abs_error_estimate):
+        return degenerate(estimates[-1].abs_error_estimate)
     order = None
     if len(eps) >= 3:
         d1 = values[-2] - values[-3]
-        d2 = d_last
-        ratio = d2 / d1 if d1 != 0.0 else math.inf
+        ratio = d_last / d1 if d1 != 0.0 else math.inf
         if not 0.0 < ratio < 1.0:
-            return CorrelationReport(
-                epsilons=tuple(eps),
-                estimates=estimates,
-                extrapolated_limit=values[-1],
-                extrapolation_error=estimates[-1].abs_error_estimate + abs(d2),
-                fit_degenerate=True,
-            )
+            return degenerate(estimates[-1].abs_error_estimate + abs(d_last))
         order = math.log(ratio) / math.log(eps[-1] / eps[-2])
 
     limit, amplification = _lagrange_at_zero(xs, ys)

@@ -338,6 +338,15 @@ def _adaptive(
     return value, error, cells_used, converged
 
 
+class _Misfit(ValueError):
+    """The holes do not fit the disk.  ``args`` are a message template and
+    its lengths, so a caller that scaled them can restate them."""
+
+    def __str__(self) -> str:
+        template, *lengths = self.args
+        return template.format(*lengths)
+
+
 def integrate_excised_disk(
     f: Callable[[np.ndarray], np.ndarray],
     centers: Sequence[complex],
@@ -356,18 +365,14 @@ def integrate_excised_disk(
     if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
     if not cutoff_radius <= _MAX_RADIUS:
-        raise ValueError(
-            f"cutoff radius {cutoff_radius:.6g} in the integration frame is out of "
-            f"floating-point range (at most 2**340 = {_MAX_RADIUS:.6g})"
-        )
+        message = "cutoff radius {:.6g} is out of floating-point range (at most {:.6g})"
+        raise _Misfit(message, cutoff_radius, _MAX_RADIUS)
     centers = np.array(centers, dtype=np.complex128)
     moduli = np.hypot(centers.real, centers.imag)
-    for c, m in zip(centers.tolist(), moduli.tolist()):
+    for i, m in enumerate(moduli.tolist()):
         if not m < cutoff_radius:
-            raise ValueError(
-                f"excision at {c} does not fit inside the cutoff radius "
-                f"{cutoff_radius} in the integration frame"
-            )
+            message = f"excision {i} of radius {{}}, {{}} from the centre, does not fit"
+            raise _Misfit(message + " inside the cutoff radius {}", epsilon, m, cutoff_radius)
     # room: distance to the nearest other centre or, at twice the distance to
     # it, to the truncation circle; np.hypot rounds like Python's complex abs
     diff = centers[:, None] - centers[None, :]
@@ -381,10 +386,9 @@ def integrate_excised_disk(
     tight = np.flatnonzero(plateaus >= 0.98 * supports)
     if len(tight):
         i = tight[0]
-        raise ValueError(
-            f"excision radius {epsilon} leaves no room for the cutoff around "
-            f"point {i} (room {room[i]} in the integration frame)"
-        )
+        message = f"excision radius {{}} leaves no room for the cutoff around point {i}"
+        message += " (room {}, to the nearest other point or twice to the cutoff radius {})"
+        raise _Misfit(message, epsilon, float(room[i]), cutoff_radius)
 
     holes = (centers, plateaus, supports)
     patches = [_Region(c, p, s) for c, p, s in zip(*(a.tolist() for a in holes))]
@@ -393,25 +397,6 @@ def integrate_excised_disk(
         cells.extend(_polar_cells(idx, _geometric_edges(epsilon, p.plateau) + [p.support]))
     cells.extend(_background_cells(len(patches), patches, cutoff_radius))
     regions = patches + [_Region(center=0j, holes=holes)]
-    return _adaptive(f, regions, cells, target_abs_error, max_cells)
-
-
-def _integrate_annuli(
-    f: Callable[[np.ndarray], np.ndarray],
-    centers: Sequence[complex],
-    inner: float,
-    outer: float,
-    target_abs_error: float,
-    max_cells: int,
-) -> tuple[complex, float, int, bool]:
-    """Integrate ``f`` over the annuli ``inner < |z - c| < outer`` about every
-    centre, in one adaptive run with a polar region per centre.
-
-    The caller keeps the annuli disjoint; no partition of unity is involved.
-    """
-    regions = [_Region(center=complex(c)) for c in centers]
-    radial = _geometric_edges(inner, outer)
-    cells = [cell for idx in range(len(regions)) for cell in _polar_cells(idx, radial)]
     return _adaptive(f, regions, cells, target_abs_error, max_cells)
 
 

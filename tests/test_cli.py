@@ -680,6 +680,18 @@ def test_exit_code_contract(capsys, tmp_path, case):
         assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("radius", ["0.5", "1.02"])
+def test_radius_errors_name_the_callers_lengths(capsys, tmp_path, radius):
+    # the quadrature checks the holes in the integration frame, a quarter of
+    # the collinear triple's units; its message restates the user's lengths
+    config = write_config(tmp_path / "collinear.json", COLLINEAR_ROWS)
+    code, _, err = run_cli(capsys, "correlation", config, "--radius", radius)
+    assert code == 2
+    assert f"cutoff radius {radius}" in err
+    assert "radius 0.2" in err
+    assert "integration frame" not in err
+
+
 def test_correlation_translated_reproduces_centred_payload(capsys, tmp_path):
     centred = write_config(tmp_path / "centred.json", COLLINEAR_ROWS)
     moved = write_config(tmp_path / "moved.json", _moved(1.0, 1000.0))

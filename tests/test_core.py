@@ -105,6 +105,12 @@ def test_configuration_rejects_coincident_vortices():
         VortexConfiguration.from_pairs([(0.0, 1.0), (1.0, 1.0), (0.0, 1.0)])
 
 
+def test_configuration_rejects_a_coincident_pair_alone():
+    # the floor scales with the diameter, which is 0 here
+    with pytest.raises(ConfigurationError, match="0 and 1"):
+        VortexConfiguration.from_pairs([(0.5 + 0.5j, 1.0), (0.5 + 0.5j, -2.0)])
+
+
 def test_configuration_names_first_close_pair_in_row_major_order():
     # (0, 3) and (1, 2) both fall below the floor; (0, 3) comes first
     with pytest.raises(ConfigurationError, match="vortices 0 and 3 "):

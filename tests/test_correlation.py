@@ -20,9 +20,10 @@ from vortexcorr import (
     pair_integral,
     transform,
 )
-from vortexcorr.correlation import _far_field_tail, _pair_tail
-from vortexcorr.quadrature import _integrate_annuli, integrate_disk, integrate_excised_disk
+from vortexcorr.correlation import _contour_A_eps, _far_field_tail, _frame, _pair_tail
+from vortexcorr.quadrature import integrate_disk, integrate_excised_disk
 
+from conftest import random_configuration
 from oracles import eps_series, far_field_tail
 
 
@@ -107,14 +108,15 @@ def test_pair_integral_preconditions():
 
 def test_pair_tail_is_exact_on_an_annulus():
     # the difference of two tails is the pair kernel's integral over
-    # 3 < |z| < 6; a truncated tail series misses it by 6e-4 or more
+    # 3 < |z| < 6; a truncated tail series misses it by 6e-4 or more.  The
+    # kernel is analytic well beyond the annulus, so 40 Gauss nodes in r and
+    # 128 trapezoid nodes in theta leave far less than 1e-12.
+    x, weights = np.polynomial.legendre.leggauss(40)
+    r = 4.5 + 1.5 * x
+    zs = r[:, None] * np.exp(2j * np.pi * np.arange(128) / 128)
     for p, q in ((0.2j, 1.0 + 0.5j), (-1.0, -0.5 + 0j), (0.7 - 0.4j, -0.3 + 1.1j)):
-
-        def f(zs, p=p, q=q):
-            return 1.0 / (np.conj(zs - p) ** 2 * (zs - q) ** 2)
-
-        value, err, _, converged = _integrate_annuli(f, [0j], 3.0, 6.0, 1e-14, 10**5)
-        assert converged and err < 1e-14
+        kernel = 1.0 / (np.conj(zs - p) ** 2 * (zs - q) ** 2)
+        value = 1.5 * (2.0 * np.pi / 128) * np.sum((weights * r)[:, None] * kernel)
         assert abs(_pair_tail(p, q, 3.0) - _pair_tail(p, q, 6.0) - value) < 1e-12
 
 
@@ -248,9 +250,8 @@ def test_translation_and_binary_scaling_keep_bits():
     assert cross_pair_truncated(moved, 0, 1, 0.1, spec) == pair
     assert pair_integral(p + shift, q + shift, 0.1, pair_spec) == alone
 
-    # not below 2**-20: the separation floor 1e-9 (1 + diameter) rejects the
-    # triple at 2**-30
-    for s in (2.0**300, 2.0**-20):
+    # the separation floor scales with the diameter, so a tiny copy is valid
+    for s in (2.0**300, 2.0**-30):
         scaled = transform(base, Similarity(scale=s))
         scaled_spec = QuadratureSpec(
             spec.epsilon * s, spec.cutoff_radius * s, spec.target_abs_error / (s * s)
@@ -515,6 +516,40 @@ def test_error_bars_cover_the_exact_series(name):
         for est in checked:
             assert est.converged
             assert abs(est.value - exact) <= est.abs_error_estimate
+
+
+@pytest.mark.parametrize("name", sorted(SERIES_CASES))
+def test_contour_sum_matches_the_exact_series(name):
+    # the contour form of A_eps, which correlation_limit's rings rest on,
+    # against the independent eps-series; its bound covers the difference
+    build, rotation, translation = SERIES_CASES[name]
+    config = transform(build(), Similarity(rotation=rotation, translation=translation))
+    frame, _, shrink = _frame(config, default_quadrature_spec(config))
+    area = shrink * shrink
+    for e in default_epsilon_list(config):
+        value, trapezoid, rounding = _contour_A_eps(frame, e * shrink)
+        exact = eps_series(config, e)
+        assert abs(value * area - exact) <= 1e-10 * abs(exact)
+        assert abs(value * area - exact) <= (trapezoid + rounding) * area
+
+
+def test_contour_sum_matches_quadrature_off_equilibrium():
+    # off equilibrium the residues g_j enter the contour sum; the 2D engine
+    # is the independent check
+    configs = [
+        VortexConfiguration.from_pairs([(-1.0, 1.0), (0.05j, -0.5), (1.0, 1.0)]),
+        random_configuration(np.random.default_rng(6), 6),
+    ]
+    for config in configs:
+        spec = default_quadrature_spec(config)
+        frame, _, shrink = _frame(config, spec)
+        area = shrink * shrink
+        for e in default_epsilon_list(config):
+            value, trapezoid, rounding = _contour_A_eps(frame, e * shrink)
+            quadrature = correlation_A_eps(config, replace(spec, epsilon=e))
+            assert quadrature.converged
+            bar = quadrature.abs_error_estimate + (trapezoid + rounding) * area
+            assert abs(value * area - quadrature.value) <= bar
 
 
 def test_shared_error_counted_once():
