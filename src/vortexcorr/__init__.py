@@ -45,7 +45,7 @@ from .correlation import (
     pair_integral,
 )
 
-__version__ = "0.11.0"
+__version__ = "0.11.1"
 
 __all__ = [
     "__version__",

@@ -6,11 +6,13 @@ A configuration file is a flat JSON document::
 
 Reports go to standard output as a single JSON document (CSV on request
 for the correlation command); diagnostics go to standard error.  Exit
-codes are stable: 0 success, 2 usage or parse error, 3 invariant
-violation, 4 numeric non-convergence or exhausted budget, 5 degenerate
-construction.  ``--manifest PATH`` records the command, its parameters,
-and the results; the ``replay`` command re-runs a manifest and verifies
-the results reproduce bit-exactly.
+codes are stable: 0 success, 1 a replay whose results differ from its
+manifest, 2 usage or parse error, 3 invariant violation, 4 numeric
+non-convergence or exhausted budget, 5 degenerate construction.  One
+table, ``_EXIT_CODES``, maps the library's exceptions to their codes for
+every command.  ``--manifest PATH`` records the command, its parameters,
+and the results; the ``replay`` command re-runs a manifest the way the
+command line runs it and verifies the results reproduce bit-exactly.
 """
 
 from __future__ import annotations
@@ -71,6 +73,16 @@ class CliFailure(Exception):
         self.exit_code = exit_code
 
 
+# library failure -> exit code and a hint for the message; the first match
+# wins, since a degenerate construction is also a ValueError.  A chain that
+# misses its accuracy gate raises ArithmeticError: numeric, not degenerate.
+_EXIT_CODES = (
+    (DegenerateParametersError, EXIT_DEGENERATE, "; try perturbing the tau parameters"),
+    ((RootConvergenceError, ArithmeticError), EXIT_NONCONVERGENCE, ""),
+    ((ValueError, IndexError), EXIT_USAGE, ""),
+)
+
+
 def _positive_float(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value > 0.0):
@@ -100,36 +112,33 @@ def _load_json(path: str) -> object:
         raise CliFailure(EXIT_USAGE, f"{path} is not valid JSON: {exc}") from exc
 
 
-def _config_from_payload(data: object, origin: str) -> tuple[VortexConfiguration, str | None]:
+def _load_config(path: str) -> tuple[VortexConfiguration, str | None]:
+    data = _load_json(path)
     if not isinstance(data, dict) or "vortices" not in data:
-        raise CliFailure(EXIT_USAGE, f"{origin}: expected an object with a 'vortices' list")
+        raise CliFailure(EXIT_USAGE, f"{path}: expected an object with a 'vortices' list")
     rows = data["vortices"]
     if not isinstance(rows, list):
-        raise CliFailure(EXIT_USAGE, f"{origin}: 'vortices' must be a list")
+        raise CliFailure(EXIT_USAGE, f"{path}: 'vortices' must be a list")
     triples = []
     for i, row in enumerate(rows):
         if not isinstance(row, dict) or not {"x", "y", "d"} <= set(row):
             raise CliFailure(
-                EXIT_USAGE, f"{origin}: vortex {i} must be an object with keys x, y, d"
+                EXIT_USAGE, f"{path}: vortex {i} must be an object with keys x, y, d"
             )
         try:
             triples.append((float(row["x"]), float(row["y"]), float(row["d"])))
         except (TypeError, ValueError) as exc:
             raise CliFailure(
-                EXIT_USAGE, f"{origin}: vortex {i} has a non-numeric field ({exc})"
+                EXIT_USAGE, f"{path}: vortex {i} has a non-numeric field ({exc})"
             ) from exc
     label = data.get("label")
     if label is not None and not isinstance(label, str):
-        raise CliFailure(EXIT_USAGE, f"{origin}: 'label' must be a string")
+        raise CliFailure(EXIT_USAGE, f"{path}: 'label' must be a string")
     try:
         config = VortexConfiguration.from_coordinates(triples)
     except ConfigurationError as exc:
-        raise CliFailure(EXIT_INVARIANT, f"{origin}: {exc}") from exc
+        raise CliFailure(EXIT_INVARIANT, f"{path}: {exc}") from exc
     return config, label
-
-
-def _load_config(path: str) -> tuple[VortexConfiguration, str | None]:
-    return _config_from_payload(_load_json(path), path)
 
 
 def _config_payload(config: VortexConfiguration, label: str | None = None) -> dict:
@@ -144,46 +153,48 @@ def _config_payload(config: VortexConfiguration, label: str | None = None) -> di
     return payload
 
 
-def _write_config(path: str, config: VortexConfiguration, label: str | None) -> None:
+def _write_json(path: str, value: dict) -> None:
     try:
-        Path(path).write_text(
-            json.dumps(_config_payload(config, label), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        Path(path).write_text(_dumps(value, indent=2) + "\n", encoding="utf-8")
     except OSError as exc:
         raise CliFailure(EXIT_USAGE, f"cannot write {path}: {exc}") from exc
 
 
-def _parse_plane_point(text: str, flag: str) -> complex:
-    parts = text.split(",")
+def _parse_list(text: str, flag: str, kind: type = float) -> list:
+    """The comma-separated values of ``kind`` in ``text``; empty entries are skipped."""
+    tokens = [tok.strip() for tok in str(text).split(",") if tok.strip()]
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        return [kind(tok) for tok in tokens]
     except ValueError:
-        pass
-    raise CliFailure(EXIT_USAGE, f"{flag} expects 'x' or 'x,y' (got {text!r})")
+        message = f"{flag} expects comma-separated {kind.__name__} values (got {text!r})"
+        raise ValueError(message) from None
 
 
-def _parse_eps_list(text: str) -> list[float]:
-    # correlation_limit owns the rules on the list
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise CliFailure(EXIT_USAGE, f"--eps-list expects comma-separated numbers: {exc}")
+def _plane_point(text: str, flag: str) -> complex:
+    xy = _parse_list(text, flag)
+    if len(xy) not in (1, 2) or not all(math.isfinite(c) for c in xy):
+        raise ValueError(f"{flag} expects finite 'x' or 'x,y' (got {text!r})")
+    return complex(*xy)
 
 
-def cmd_energy(params: dict) -> tuple[dict, int]:
-    config, label = _load_config(params["config_path"])
-    payload = {"W": energy(config), "convention": _CONVENTION_NOTE}
-    if label is not None:
-        payload["label"] = label
-    return payload, EXIT_OK
+def _quadrature_spec(config: VortexConfiguration, params: dict, **fields) -> QuadratureSpec:
+    """The library's default spec for ``config`` with the command's overrides."""
+    spec = default_quadrature_spec(config)
+    radius = params.get("radius")
+    return replace(
+        spec,
+        cutoff_radius=spec.cutoff_radius if radius is None else radius,
+        target_abs_error=params["target_error"],
+        max_cells=params["max_cells"],
+        **fields,
+    )
 
 
-def cmd_check(params: dict) -> tuple[dict, int]:
-    config, label = _load_config(params["config_path"])
+def cmd_energy(params: dict, config: VortexConfiguration, label: str | None) -> tuple[dict, int]:
+    return {"W": energy(config), "convention": _CONVENTION_NOTE}, EXIT_OK
+
+
+def cmd_check(params: dict, config: VortexConfiguration, label: str | None) -> tuple[dict, int]:
     tol = params["tol"]
     if not tol > 0.0:
         raise CliFailure(EXIT_USAGE, "--tol must be > 0")
@@ -195,59 +206,39 @@ def cmd_check(params: dict) -> tuple[dict, int]:
         "tol": tol,
         "forces": [_complex_dict(x) for x in f],
     }
-    if label is not None:
-        payload["label"] = label
     return payload, EXIT_OK
 
 
-def cmd_correlation(params: dict) -> tuple[dict, int]:
-    config, label = _load_config(params["config_path"])
+def cmd_correlation(
+    params: dict, config: VortexConfiguration, label: str | None
+) -> tuple[dict, int]:
     eps_values = (
-        _parse_eps_list(params["eps_list"])
+        _parse_list(params["eps_list"], "--eps-list")
         if params.get("eps_list")
         else default_epsilon_list(config)
     )
-    defaults = default_quadrature_spec(config)
-    radius = params.get("radius") or defaults.cutoff_radius
     res = residual(config)
-    allow = bool(params.get("allow_nonequilibrium"))
-    payload: dict = {
-        "residual": res,
-        "epsilons": list(eps_values),
-        "cutoff_radius": radius,
-        "target_abs_error": params["target_error"],
-    }
-    if label is not None:
-        payload["label"] = label
-
     equilibrium = res <= 1e-6
-    if not (equilibrium or allow):
+    if not (equilibrium or params.get("allow_nonequilibrium")):
         raise CliFailure(
             EXIT_INVARIANT,
             f"configuration is not an equilibrium (residual {res:.6e} > 1e-06); "
             "pass --allow-nonequilibrium for truncated estimates only",
         )
-    try:
-        spec = replace(
-            defaults,
-            cutoff_radius=radius,
-            target_abs_error=params["target_error"],
-            max_cells=params["max_cells"],
-        )
-        report = correlation_limit(config, eps_values, spec)
-    except ValueError as exc:
-        raise CliFailure(EXIT_USAGE, str(exc)) from exc
-    payload["estimates"] = [
-        {"epsilon": e, **asdict(est)} for e, est in zip(report.epsilons, report.estimates)
-    ]
-    if equilibrium:
-        payload["extrapolated_limit"] = report.extrapolated_limit
-        payload["extrapolation_error"] = report.extrapolation_error
-        payload["fit_degenerate"] = report.fit_degenerate
-    else:
-        payload["extrapolated_limit"] = None
-        payload["extrapolation_error"] = None
-        payload["fit_degenerate"] = None
+    spec = _quadrature_spec(config, params)
+    report = correlation_limit(config, eps_values, spec)
+    payload: dict = {
+        "residual": res,
+        "epsilons": list(eps_values),
+        "cutoff_radius": spec.cutoff_radius,
+        "target_abs_error": spec.target_abs_error,
+        "estimates": [
+            {"epsilon": e, **asdict(est)} for e, est in zip(report.epsilons, report.estimates)
+        ],
+    }
+    for key in ("extrapolated_limit", "extrapolation_error", "fit_degenerate"):
+        payload[key] = getattr(report, key) if equilibrium else None
+    if not equilibrium:
         payload["note"] = (
             "extrapolation suppressed: the input is not an equilibrium, so "
             "only truncated finite-(eps, R) values are reported"
@@ -258,22 +249,12 @@ def cmd_correlation(params: dict) -> tuple[dict, int]:
 
 
 def cmd_pair_integral(params: dict) -> tuple[dict, int]:
-    p = _parse_plane_point(params["p"], "--p")
-    q = _parse_plane_point(params["q"], "--q")
+    p = _plane_point(params["p"], "--p")
+    q = _plane_point(params["q"], "--q")
     eps = params["eps"]
-    try:
-        pair = VortexConfiguration.from_pairs([(p, 1.0), (q, 1.0)])
-        radius = params.get("radius") or default_quadrature_spec(pair).cutoff_radius
-        spec = QuadratureSpec(
-            epsilon=eps,
-            cutoff_radius=radius,
-            target_abs_error=params["target_error"],
-            max_cells=params["max_cells"],
-        )
-        result = pair_integral(p, q, eps, spec)
-        mp = moebius_params(eps / abs(p - q))
-    except ValueError as exc:
-        raise CliFailure(EXIT_USAGE, str(exc)) from exc
+    pair = VortexConfiguration.from_pairs([(p, 1.0), (q, 1.0)])
+    result = pair_integral(p, q, eps, _quadrature_spec(pair, params, epsilon=eps))
+    mp = moebius_params(eps / abs(p - q))
     payload = {
         "p": _complex_dict(p),
         "q": _complex_dict(q),
@@ -292,34 +273,9 @@ def cmd_pair_integral(params: dict) -> tuple[dict, int]:
 
 def cmd_adler_moser(params: dict) -> tuple[dict, int]:
     n = params["n"]
-    taus: list[complex] = []
-    if params.get("tau_list"):
-        for tok in str(params["tau_list"]).split(","):
-            tok = tok.strip()
-            if not tok:
-                continue
-            try:
-                taus.append(complex(tok))
-            except ValueError as exc:
-                raise CliFailure(
-                    EXIT_USAGE, f"--tau-list entry {tok!r} is not a complex number"
-                ) from exc
-    try:
-        chain = adler_moser_chain(n, taus)
-    except ValueError as exc:
-        raise CliFailure(EXIT_USAGE, str(exc)) from exc
-    except ArithmeticError as exc:
-        # the chain recurrence missed its accuracy gate: numeric, not degenerate
-        raise CliFailure(EXIT_NONCONVERGENCE, str(exc)) from exc
-    try:
-        config = config_from_adler_moser(chain)
-    except RootConvergenceError as exc:
-        raise CliFailure(EXIT_NONCONVERGENCE, str(exc)) from exc
-    except DegenerateParametersError as exc:
-        raise CliFailure(
-            EXIT_DEGENERATE, f"{exc}; try perturbing the tau parameters"
-        ) from exc
-
+    taus = _parse_list(params.get("tau_list") or "", "--tau-list", complex)
+    chain = adler_moser_chain(n, taus)
+    config = config_from_adler_moser(chain)
     payload = {
         "n": n,
         "taus": [_complex_dict(t) for t in taus],
@@ -328,27 +284,19 @@ def cmd_adler_moser(params: dict) -> tuple[dict, int]:
         "configuration": _config_payload(config),
     }
     if params.get("out"):
-        _write_config(params["out"], config, f"adler-moser n={n}")
+        _write_json(params["out"], _config_payload(config, f"adler-moser n={n}"))
     return payload, EXIT_OK
 
 
-def cmd_refine(params: dict) -> tuple[dict, int]:
-    config, label = _load_config(params["config_path"])
+def cmd_refine(params: dict, config: VortexConfiguration, label: str | None) -> tuple[dict, int]:
     free_text = str(params["free"]).strip().lower()
-    if free_text == "all":
-        free = list(range(len(config)))
-    else:
-        try:
-            free = [int(tok) for tok in free_text.split(",") if tok.strip()]
-        except ValueError as exc:
-            raise CliFailure(
-                EXIT_USAGE, f"--free expects 'all' or comma-separated indices: {exc}"
-            ) from exc
+    free = (
+        list(range(len(config)))
+        if free_text == "all"
+        else _parse_list(free_text, "--free", int)
+    )
     settings = NewtonSettings(tolerance=params["tol"], max_iterations=params["max_iter"])
-    try:
-        outcome = refine_equilibrium(config, free, settings)
-    except (ValueError, IndexError) as exc:
-        raise CliFailure(EXIT_USAGE, str(exc)) from exc
+    outcome = refine_equilibrium(config, free, settings)
     payload = {
         "residual_before": residual(config),
         "residual": outcome.residual,
@@ -357,10 +305,8 @@ def cmd_refine(params: dict) -> tuple[dict, int]:
         "message": outcome.message,
         "configuration": _config_payload(outcome.configuration, label),
     }
-    if label is not None:
-        payload["label"] = label
     if params.get("out"):
-        _write_config(params["out"], outcome.configuration, label)
+        _write_json(params["out"], payload["configuration"])
     return payload, (EXIT_OK if outcome.converged else EXIT_NONCONVERGENCE)
 
 
@@ -372,6 +318,32 @@ HANDLERS = {
     "adler-moser": cmd_adler_moser,
     "refine": cmd_refine,
 }
+# the handlers that also take a configuration file and its label
+_FILE_COMMANDS = frozenset({"energy", "check", "correlation", "refine"})
+
+
+def _run(command: str, params: dict) -> tuple[dict, int]:
+    """Run ``command`` as both the command line and ``replay`` run it.
+
+    Loads the configuration file of the commands that take one, maps a
+    library failure to its exit code through ``_EXIT_CODES``, adds the
+    file's label to the report and makes the report strict JSON.
+    """
+    label = None
+    try:
+        if command in _FILE_COMMANDS:
+            config, label = _load_config(params["config_path"])
+            payload, code = HANDLERS[command](params, config, label)
+        else:
+            payload, code = HANDLERS[command](params)
+    except Exception as exc:
+        for kind, exit_code, hint in _EXIT_CODES:
+            if isinstance(exc, kind):
+                raise CliFailure(exit_code, f"{exc}{hint}") from exc
+        raise
+    if label is not None:
+        payload["label"] = label
+    return _strict_json(payload), code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -398,8 +370,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config_path")
     p.add_argument("--eps-list", help="comma-separated, strictly decreasing excision radii")
     p.add_argument("--radius", type=_positive_float, help="truncation radius R")
-    p.add_argument("--target-error", type=_positive_float, default=1e-5)
-    p.add_argument("--max-cells", type=_positive_int, default=2_000_000)
+    p.add_argument(
+        "--target-error", type=_positive_float, default=QuadratureSpec.target_abs_error
+    )
+    p.add_argument("--max-cells", type=_positive_int, default=QuadratureSpec.max_cells)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument(
         "--allow-nonequilibrium",
@@ -414,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=_positive_float, required=True)
     p.add_argument("--target-error", type=_positive_float, default=1e-6)
     p.add_argument("--radius", type=_positive_float)
-    p.add_argument("--max-cells", type=_positive_int, default=2_000_000)
+    p.add_argument("--max-cells", type=_positive_int, default=QuadratureSpec.max_cells)
     with_manifest(p)
 
     p = sub.add_parser("adler-moser", help="equilibrium from a polynomial chain")
@@ -426,8 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("refine", help="Newton-refine a configuration towards equilibrium")
     p.add_argument("config_path")
     p.add_argument("--free", default="all", help="'all' or comma-separated vortex indices")
-    p.add_argument("--tol", type=_positive_float, default=1e-12)
-    p.add_argument("--max-iter", type=_positive_int, default=50)
+    p.add_argument("--tol", type=_positive_float, default=NewtonSettings.tolerance)
+    p.add_argument("--max-iter", type=_positive_int, default=NewtonSettings.max_iterations)
     p.add_argument("--out", help="write the refined configuration file here")
     with_manifest(p)
 
@@ -435,11 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifest_path")
 
     return parser
-
-
-def _params_from_args(args: argparse.Namespace) -> dict:
-    skip = {"command", "manifest", "format"}
-    return {k: v for k, v in vars(args).items() if k not in skip}
 
 
 def _strict_json(value):
@@ -490,32 +459,20 @@ def _emit_csv(payload: dict) -> None:
     _write_stdout(buffer.getvalue())
 
 
-def _write_manifest(path: str, command: str, params: dict, payload: dict) -> None:
-    manifest = {
-        "command": command,
-        "parameters": params,
-        "tool_version": _TOOL_VERSION,
-        "results": payload,
-    }
-    try:
-        Path(path).write_text(_dumps(manifest, indent=2) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise CliFailure(EXIT_USAGE, f"cannot write manifest {path}: {exc}") from exc
-
-
-def _run_replay(manifest_path: str) -> int:
+def _replay(manifest_path: str) -> int:
     data = _load_json(manifest_path)
-    if not isinstance(data, dict) or "command" not in data or "parameters" not in data:
+    if not (
+        isinstance(data, dict) and "command" in data and isinstance(data.get("parameters"), dict)
+    ):
         raise CliFailure(EXIT_USAGE, f"{manifest_path} is not a run manifest")
     command = data["command"]
-    if command not in HANDLERS:
+    if not (isinstance(command, str) and command in HANDLERS):
         raise CliFailure(EXIT_USAGE, f"manifest names unknown command {command!r}")
     try:
-        payload, code = HANDLERS[command](dict(data["parameters"]))
-    except (KeyError, TypeError, ValueError) as exc:  # argparse never saw them
+        payload, code = _run(command, data["parameters"])
+    except (KeyError, TypeError) as exc:  # argparse never saw them
         message = f"{manifest_path}: malformed {command} parameters ({exc!r})"
         raise CliFailure(EXIT_USAGE, message) from exc
-    payload = _strict_json(payload)
     _emit_json(payload)
     recorded = _dumps(_strict_json(data.get("results")))
     fresh = _dumps(payload)
@@ -542,16 +499,22 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "replay":
-            return _run_replay(args.manifest_path)
-        params = _params_from_args(args)
-        payload, code = HANDLERS[args.command](params)
-        payload = _strict_json(payload)
+            return _replay(args.manifest_path)
+        skip = {"command", "manifest", "format"}
+        params = {k: v for k, v in vars(args).items() if k not in skip}
+        payload, code = _run(args.command, params)
         if args.command == "correlation" and args.format == "csv":
             _emit_csv(payload)
         else:
             _emit_json(payload)
-        if getattr(args, "manifest", None):
-            _write_manifest(args.manifest, args.command, params, payload)
+        if args.manifest:
+            manifest = {
+                "command": args.command,
+                "parameters": params,
+                "tool_version": _TOOL_VERSION,
+                "results": payload,
+            }
+            _write_json(args.manifest, manifest)
         return code
     except CliFailure as failure:
         print(f"error: {failure}", file=sys.stderr)

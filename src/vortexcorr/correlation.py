@@ -496,13 +496,11 @@ def correlation_limit(
 
 def default_quadrature_spec(config: VortexConfiguration) -> QuadratureSpec:
     """Defaults: ``eps = 0.1 * min separation``, ``R = 50 * (1 + diameter)``,
-    target ``1e-5``, two million cells."""
+    and :class:`QuadratureSpec`'s own target and cell budget."""
     sep = config.min_separation
     return QuadratureSpec(
         epsilon=0.1 * sep if math.isfinite(sep) else 0.1,
         cutoff_radius=50.0 * (1.0 + config.diameter),
-        target_abs_error=1e-5,
-        max_cells=2_000_000,
     )
 
 

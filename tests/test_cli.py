@@ -645,6 +645,31 @@ CONTRACT_CASES = {
         2,
     ),
     "replay-energy-no-parameters": ("energy", None, 2),
+    # a radius of 0 is a radius, not a request for the default
+    "replay-correlation-zero-radius": (
+        "correlation",
+        {"radius": 0, "target_error": 1e-5, "max_cells": 2_000_000},
+        2,
+    ),
+    "replay-command-is-a-list": (["energy"], {}, 2),
+    "replay-command-is-an-object": ({"name": "energy"}, {}, 2),
+    # the exit-code table on the replay path
+    "replay-adler-moser-zero-tau": ("adler-moser", {"n": 2, "tau_list": "0"}, 5),
+    "replay-adler-moser-chain-defect": (
+        "adler-moser",
+        {"n": 8, "tau_list": "1,1,1,1,1,1,1"},
+        4,
+    ),
+    "replay-refine-free-out-of-range": (
+        "refine",
+        {"free": "9", "tol": 1e-12, "max_iter": 50},
+        2,
+    ),
+    "replay-pair-integral-infinite-point": (
+        "pair-integral",
+        {"p": "inf,0", "q": "1,0", "eps": 0.1, "target_error": 1e-6, "max_cells": 2_000_000},
+        2,
+    ),
 }
 
 
@@ -678,6 +703,8 @@ def test_exit_code_contract(capsys, tmp_path, case):
         assert payload["value"] <= payload["abs_error_estimate"]
     if expected == 2:
         assert err.startswith("error: ")
+    if expected == 5:
+        assert err.endswith("; try perturbing the tau parameters\n")
 
 
 @pytest.mark.parametrize("radius", ["0.5", "1.02"])
