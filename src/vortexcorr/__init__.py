@@ -23,7 +23,6 @@ from .equilibria import (
     DegenerateParametersError,
     NearMultipleRootWarning,
     NewtonSettings,
-    Polynomial,
     RefinementResult,
     RootConvergenceError,
     adler_moser_chain,
@@ -45,7 +44,7 @@ from .correlation import (
     pair_integral,
 )
 
-__version__ = "0.11.1"
+__version__ = "0.12.0"
 
 __all__ = [
     "__version__",
@@ -62,7 +61,6 @@ __all__ = [
     "DegenerateParametersError",
     "NearMultipleRootWarning",
     "NewtonSettings",
-    "Polynomial",
     "RefinementResult",
     "RootConvergenceError",
     "adler_moser_chain",

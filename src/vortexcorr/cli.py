@@ -73,12 +73,13 @@ class CliFailure(Exception):
         self.exit_code = exit_code
 
 
-# library failure -> exit code and a hint for the message; the first match
-# wins, since a degenerate construction is also a ValueError.  A chain that
-# misses its accuracy gate raises ArithmeticError: numeric, not degenerate.
+# library failure -> exit code and a hint; the first match wins, since
+# degenerate parameters and broken invariants are ValueErrors too.  A chain
+# missing its accuracy gate raises ArithmeticError: numeric, not degenerate.
 _EXIT_CODES = (
     (DegenerateParametersError, EXIT_DEGENERATE, "; try perturbing the tau parameters"),
     ((RootConvergenceError, ArithmeticError), EXIT_NONCONVERGENCE, ""),
+    (ConfigurationError, EXIT_INVARIANT, ""),
     ((ValueError, IndexError), EXIT_USAGE, ""),
 )
 
@@ -279,7 +280,7 @@ def cmd_adler_moser(params: dict) -> tuple[dict, int]:
     payload = {
         "n": n,
         "taus": [_complex_dict(t) for t in taus],
-        "degrees": [p.degree for p in chain.polynomials],
+        "degrees": [len(p) - 1 for p in chain.polynomials],
         "residual": residual(config),
         "configuration": _config_payload(config),
     }

@@ -9,9 +9,10 @@ Two routes are provided:
 * a damped Newton refiner that drives every force ``f_j`` to zero while a
   chosen subset of positions moves.
 
-Roots are the eigenvalues of the companion matrix (numpy's ``polyroots``,
-LAPACK underneath), each followed by one Newton polish and checked against
-a backward-error bound.  Their last bits depend on the LAPACK build.
+Polynomials are coefficient tuples, lowest degree first.  Roots are the
+companion eigenvalues (numpy's ``polyroots``, LAPACK underneath), each
+Newton-polished once and checked against a backward-error bound; their
+last bits depend on the LAPACK build.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from typing import Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as P
+from numpy.polynomial import polyutils as pu
 
 from .core import (
     ConfigurationError,
@@ -36,7 +38,6 @@ __all__ = [
     "DegenerateParametersError",
     "RootConvergenceError",
     "NearMultipleRootWarning",
-    "Polynomial",
     "AdlerMoserChain",
     "adler_moser_chain",
     "roots",
@@ -64,58 +65,9 @@ class NearMultipleRootWarning(UserWarning):
     """Two computed roots are close enough to suggest a multiple root."""
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    """Dense complex polynomial; coefficients ordered lowest degree first.
-
-    The representation is normalised: trailing zero coefficients are
-    trimmed on construction so the leading coefficient is nonzero (the
-    constant zero polynomial keeps the single coefficient ``0``).
-    """
-
-    coefficients: tuple[complex, ...]
-
-    def __post_init__(self) -> None:
-        coeffs = tuple(complex(c) for c in self.coefficients)
-        if not coeffs:
-            raise ValueError("a polynomial needs at least one coefficient")
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coefficients", coeffs)
-
-    @classmethod
-    def from_roots(cls, root_list: Sequence[complex], leading: complex = 1.0) -> "Polynomial":
-        return cls(tuple(complex(leading) * P.polyfromroots(root_list)))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __call__(self, z):
-        """Evaluation at scalars and numpy arrays alike."""
-        return P.polyval(z, self.coefficients)
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial(tuple(P.polyder(self.coefficients)))
-
-    def __mul__(self, other):
-        factor = other.coefficients if isinstance(other, Polynomial) else (complex(other),)
-        return Polynomial(tuple(P.polymul(self.coefficients, factor)))
-
-    __rmul__ = __mul__
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial(tuple(P.polyadd(self.coefficients, other.coefficients)))
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial(tuple(P.polysub(self.coefficients, other.coefficients)))
-
-
-def _wronskian_coeffs(p: Polynomial, q: Polynomial) -> np.ndarray:
+def _wronskian_coeffs(p: Sequence[complex], q: Sequence[complex]) -> np.ndarray:
     """Coefficients of ``p' q - p q'``."""
-    pa = np.asarray(p.coefficients)
-    qa = np.asarray(q.coefficients)
-    return P.polysub(P.polymul(P.polyder(pa), qa), P.polymul(pa, P.polyder(qa)))
+    return P.polysub(P.polymul(P.polyder(p), q), P.polymul(p, P.polyder(q)))
 
 
 @dataclass(frozen=True)
@@ -130,12 +82,12 @@ class AdlerMoserChain:
 
     n: int
     parameters: tuple[complex, ...]
-    polynomials: tuple[Polynomial, ...]
+    polynomials: tuple[tuple[complex, ...], ...]
 
     def wronskian_defect(self, k: int) -> float:
         """Relative coefficient error of the recurrence at step ``k`` (1-based)."""
         lhs = _wronskian_coeffs(self.polynomials[k + 1], self.polynomials[k - 1])
-        mid = np.asarray(self.polynomials[k].coefficients)
+        mid = self.polynomials[k]
         rhs = (2 * k + 1) * P.polymul(mid, mid)
         diff = P.polysub(lhs, rhs)
         scale = max(np.abs(rhs).max(), 1e-300)
@@ -143,8 +95,8 @@ class AdlerMoserChain:
 
 
 def _next_chain_polynomial(
-    p_prev: Polynomial, p_mid: Polynomial, k: int, tau: complex
-) -> Polynomial:
+    p_prev: tuple[complex, ...], p_mid: tuple[complex, ...], k: int, tau: complex
+) -> tuple[complex, ...]:
     """Solve ``Q' P_{k-1} - Q P_{k-1}' = (2k+1) P_k^2`` for ``Q = P_{k+1}``.
 
     Matching powers gives a triangular system for the coefficients of ``Q``:
@@ -153,13 +105,12 @@ def _next_chain_polynomial(
     its leading coefficient).  The single zero diagonal at ``i = p`` is the
     free direction; we set it to zero and add ``tau * P_{k-1}`` afterwards.
     """
-    p = p_prev.degree
+    p = len(p_prev) - 1
     m = (k + 1) * (k + 2) // 2
-    c = np.zeros(p + 1, dtype=np.complex128)
-    c[: len(p_prev.coefficients)] = p_prev.coefficients
-    rhs_poly = (2 * k + 1) * (p_mid * p_mid)
+    c = np.array(p_prev, dtype=np.complex128)
+    rhs_poly = (2 * k + 1) * P.polymul(p_mid, p_mid)
     rhs = np.zeros(m + p, dtype=np.complex128)
-    rhs[: len(rhs_poly.coefficients)] = rhs_poly.coefficients
+    rhs[: len(rhs_poly)] = rhs_poly
 
     q = np.zeros(m + 1, dtype=np.complex128)
     for i in range(m, -1, -1):
@@ -174,7 +125,8 @@ def _next_chain_polynomial(
         q[i] = (rhs[s] - acc) / ((i - p) * c[p])
 
     q[: p + 1] += complex(tau) * c
-    return Polynomial(tuple(q))
+    # trimmed, so the degree gate sees a vanished leading coefficient
+    return tuple(pu.trimseq(q).tolist())
 
 
 def adler_moser_chain(n: int, parameters: Sequence[complex] = ()) -> AdlerMoserChain:
@@ -193,18 +145,18 @@ def adler_moser_chain(n: int, parameters: Sequence[complex] = ()) -> AdlerMoserC
         )
     if not all(cmath.isfinite(t) for t in params):
         raise ValueError(f"chain parameters must be finite (got {params})")
-    polys = [Polynomial((1 + 0j,))]
+    polys = [(1 + 0j,)]
     if n >= 1:
-        polys.append(Polynomial((0j, 1 + 0j)))
+        polys.append((0j, 1 + 0j))
     for k in range(1, n):
         polys.append(_next_chain_polynomial(polys[k - 1], polys[k], k, params[k - 1]))
     chain = AdlerMoserChain(n=n, parameters=params, polynomials=tuple(polys))
 
     for k, poly in enumerate(chain.polynomials):
         expected = k * (k + 1) // 2
-        if poly.degree != expected:
+        if len(poly) - 1 != expected:
             raise ArithmeticError(
-                f"chain polynomial {k} has degree {poly.degree}, expected {expected}"
+                f"chain polynomial {k} has degree {len(poly) - 1}, expected {expected}"
             )
     for k in range(1, n):
         defect = chain.wronskian_defect(k)
@@ -223,46 +175,52 @@ def _close_pairs(z: np.ndarray) -> np.ndarray:
     return np.argwhere(np.triu(np.abs(z[:, None] - z[None, :]) < threshold, 1))
 
 
-def _coefficient_scale(p: Polynomial, z: np.ndarray) -> np.ndarray:
-    """``sum_i |c_i| max(1, |z|)^i``: the size of ``p(z)``'s terms, anchored at
-    1 so points near the origin keep a nonzero scale."""
-    return P.polyval(np.maximum(1.0, np.abs(z)), np.abs(p.coefficients))
+def _coefficient_scale(c: Sequence[complex], z: np.ndarray) -> np.ndarray:
+    """``sum_i |c_i| max(1, |z|)^i``: the size of ``sum_i c_i z^i``'s terms,
+    anchored at 1 so points near the origin keep a nonzero scale."""
+    return P.polyval(np.maximum(1.0, np.abs(z)), np.abs(c))
 
 
 # backward-error bound that every returned root must meet
 _ROOT_TOL = 1e-12
 
 
-def roots(p: Polynomial) -> list[complex]:
-    """All roots of ``p`` (with multiplicity): companion eigenvalues plus one Newton polish.
+def roots(coefficients: Sequence[complex]) -> list[complex]:
+    """All roots of ``p(z) = sum_i c_i z^i`` (with multiplicity): companion
+    eigenvalues plus one Newton polish.
 
-    The eigenvalues of the companion matrix come from
-    ``numpy.polynomial.polynomial.polyroots`` (LAPACK), in its sorted order;
-    each then receives one Newton step.  Each returned root ``r`` satisfies
-    ``|p(r)| <= 1e-12 * sum_i |c_i| max(1, |r|)^i``.
+    ``coefficients`` lists ``c_0, c_1, ...``; trailing zeros are trimmed,
+    and the degree left must be at least 1.  The companion eigenvalues come
+    from ``numpy.polynomial.polynomial.polyroots`` (LAPACK), in its sorted
+    order; each then receives one Newton step.  Each returned root ``r``
+    satisfies ``|p(r)| <= 1e-12 * sum_i |c_i| max(1, |r|)^i``.
 
     Raises :class:`RootConvergenceError` when the eigenvalue solver fails,
     the companion matrix is not finite, or some polished root misses that
     bound; emits :class:`NearMultipleRootWarning` when two roots end up
     closer than ``1e-6 * (1 + max |root|)``.
     """
-    if p.degree < 1:
+    # exact zeros only: polytrim would also drop a NaN leading coefficient
+    c = pu.trimseq(np.asarray(coefficients, dtype=np.complex128))
+    degree = len(c) - 1
+    if degree < 1:
         raise ValueError("the polynomial must have degree at least 1")
 
     # overflow in the companion matrix or in the polish is reported below,
     # not as a RuntimeWarning
     with np.errstate(all="ignore"):
         try:
-            z = P.polyroots(p.coefficients)
+            z = P.polyroots(c)
         except np.linalg.LinAlgError as exc:
             raise RootConvergenceError(
-                f"companion eigenvalues failed: {exc}", tuple(range(p.degree))
+                f"companion eigenvalues failed: {exc}", tuple(range(degree))
             ) from exc
-        pv = p(z)
-        dv = p.derivative()(z)
+        pv = P.polyval(z, c)
+        dv = P.polyval(z, P.polyder(c))
         safe = dv != 0
         z = np.where(safe, z - pv / np.where(safe, dv, 1.0), z)
-        ok = np.isfinite(z) & (np.abs(p(z)) <= _ROOT_TOL * _coefficient_scale(p, z))
+        bound = _ROOT_TOL * _coefficient_scale(c, z)
+        ok = np.isfinite(z) & (np.abs(P.polyval(z, c)) <= bound)
     if not ok.all():
         failed = tuple(int(i) for i in np.nonzero(~ok)[0])
         raise RootConvergenceError(
@@ -295,7 +253,7 @@ def config_from_adler_moser(chain: AdlerMoserChain) -> VortexConfiguration:
     p_high = chain.polynomials[chain.n]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NearMultipleRootWarning)
-        negative = roots(p_low) if p_low.degree >= 1 else []
+        negative = roots(p_low) if len(p_low) > 1 else []
         positive = roots(p_high)
 
     points = np.array(negative + positive, dtype=np.complex128)
@@ -308,11 +266,11 @@ def config_from_adler_moser(chain: AdlerMoserChain) -> VortexConfiguration:
     # derivative's coefficient scale cannot be located reliably: treat it
     # as a multiple root (tau_2 = 0 gives P_2 = z^3 with a triple root)
     for poly, root_list in ((p_low, negative), (p_high, positive)):
-        if poly.degree < 2:
+        if len(poly) < 3:
             continue
-        dp = poly.derivative()
+        dp = P.polyder(poly)
         r = np.array(root_list)
-        flat = np.abs(dp(r)) <= 1e-6 * _coefficient_scale(dp, r)
+        flat = np.abs(P.polyval(r, dp)) <= 1e-6 * _coefficient_scale(dp, r)
         if flat.any():
             raise DegenerateParametersError(
                 f"root {complex(r[flat][0]):.6g} of a chain polynomial looks multiple "

@@ -207,7 +207,7 @@ def test_criterion_7_moebius_identities():
 def test_criterion_8_polynomial_chain():
     chain = adler_moser_chain(4, [1.0, 0.8, 1.2])
     defect = max(chain.wronskian_defect(k) for k in range(1, 4))
-    degrees_ok = all(p.degree == k * (k + 1) // 2 for k, p in enumerate(chain.polynomials))
+    degrees_ok = all(len(p) - 1 == k * (k + 1) // 2 for k, p in enumerate(chain.polynomials))
     raw_residuals = []
     refined_residuals = []
     for n, params in ((2, [-1.0]), (3, [1.0, 1.0]), (4, [1.0, 0.8, 1.2])):

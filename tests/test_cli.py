@@ -628,6 +628,13 @@ CONTRACT_CASES = {
         2,
         ["--p", "0,0", "--q", "1,0", "--eps", "0.1", "--radius", "1e110"],
     ),
+    # coincident vortices are an invariant violation, not a usage error
+    "pair-integral-coincident": (
+        "pair-integral",
+        None,
+        3,
+        ["--p", "0,0", "--q", "0,0", "--eps", "0.1"],
+    ),
     "correlation-distance-overflows": ("correlation", OVERFLOWING_ROWS, 3),
     "energy-distance-overflows": ("energy", OVERFLOWING_ROWS, 3),
     "energy-far-apart": ("energy", [(-1e160, 0.0, 1.0), (1e160, 0.0, 1.0)], 0),

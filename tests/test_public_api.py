@@ -14,7 +14,6 @@ PUBLIC_NAMES = [
     "MoebiusParams",
     "NearMultipleRootWarning",
     "NewtonSettings",
-    "Polynomial",
     "QuadratureResult",
     "QuadratureSpec",
     "RefinementResult",
