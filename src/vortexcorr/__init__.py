@@ -44,7 +44,7 @@ from .correlation import (
     pair_integral,
 )
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 __all__ = [
     "__version__",

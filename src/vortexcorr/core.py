@@ -108,9 +108,12 @@ class VortexConfiguration:
         close = np.argwhere(np.triu(self._distances <= floor, 1))
         if len(close):
             j, k = close[0]  # the first pair in row-major (j < k) order
+            distance = self._distances[j, k]
+            if distance == 0.0:
+                raise ConfigurationError(f"vortices {j} and {k} coincide")
             raise ConfigurationError(
                 f"vortices {j} and {k} are separated by "
-                f"{self._distances[j, k]:.3e}, not above the floor {floor:.3e}"
+                f"{distance:.3e}, not above the floor {floor:.3e}"
             )
 
     @classmethod

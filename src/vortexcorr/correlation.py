@@ -6,6 +6,10 @@ correlation coefficient ``A`` is its ``eps -> 0`` limit.  At every
 equilibrium that limit is zero, which this module reproduces numerically:
 truncate to a disk ``B_R``, integrate adaptively, add the exact
 far-field tail, and extrapolate a short list of shrinking ``eps`` values.
+For every configuration ``A_eps = alpha log eps + F + O(eps^2)`` with
+``alpha`` known from the forces, so one model fits every input: subtract
+``alpha log eps`` and extrapolate in ``eps^2`` to ``F``, which is zero at
+an equilibrium.
 
 :func:`correlation_limit` integrates adaptively once, at the largest
 ``eps_1``.  Every smaller ``eps_i`` adds the rings ``eps_i < |z - a_k| <
@@ -371,26 +375,27 @@ class CorrelationReport:
     Every estimate after the first adds exact contour rings to the first
     one's excised-disk run, so all of them report that run's cells.
 
-    ``order_estimate`` is the empirical decay order fitted from the ratio
-    of successive differences.  ``fit_degenerate`` is set when the
-    estimates do not support extrapolation -- differences below quadrature
-    noise, or a non-contracting difference ratio -- in which case the last
-    estimate is reported as the limit.
+    ``extrapolated_limit`` is the finite part ``F`` of ``A_eps = alpha log
+    eps + F + O(eps^2)``, which is zero at an equilibrium, and
+    ``extrapolation_error`` its error bar.
     """
 
     epsilons: tuple[float, ...]
     estimates: tuple[QuadratureResult, ...]
     extrapolated_limit: float
     extrapolation_error: float
-    fit_degenerate: bool = False
-    order_estimate: float | None = None
+
+    @property
+    def fit_degenerate(self) -> bool:
+        """No error bar is claimed: the main run estimated nothing."""
+        return not math.isfinite(self.extrapolation_error)
 
 
 def _lagrange_at_zero(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
     """Polynomial extrapolation of ``(x, y)`` data to ``x = 0``.
 
     Returns the value and the sum of absolute Lagrange weights (the noise
-    amplification factor).
+    amplification factor).  One point is its own extrapolation.
     """
     total = 0.0
     amplification = 0.0
@@ -411,19 +416,21 @@ def correlation_limit(
 
     One excised-disk run at the largest ``eps_1`` gets all of ``spec``'s
     target and cells; every smaller ``eps_i`` adds contour rings to it (see
-    the module docstring).  At an equilibrium the excision dependence
-    expands in even powers of ``eps``: each removed disk subtracts disk
-    integrals of functions that are smooth there, and the two singular disks
-    of every ordered pair contribute exactly zero at any radius by the
-    two-disk identity.  The limit is therefore obtained by Richardson
-    extrapolation in ``x = eps^2`` through the last (up to three) estimates.
+    the module docstring).  For every configuration ``A_eps = alpha log eps
+    + F + O(eps^2)`` with ``alpha = -2 pi sum_m |2 f_m|^2`` known from the
+    forces: the circle integrals of :func:`_contour_A_eps` give ``alpha log
+    eps`` and ``F`` by residues, and the rest is a series in ``eps^2``.  So ``alpha log eps_i`` (``eps_i`` in the caller's units) is
+    subtracted from every estimate and the remainder is
+    Richardson-extrapolated in ``x = eps^2`` through the last (up to three)
+    points.  The limit is ``F``; both ``alpha`` and ``F`` vanish at an
+    equilibrium.
 
-    The empirical decay order from the ratio of successive differences is
-    reported as a diagnostic.  When the differences fail to contract (as for
-    non-equilibria, where the truncated values grow like ``log(1/eps)``) or
-    sit below three times the ring noise, or when the main run estimated
-    nothing (an infinite error), the fit is flagged degenerate and the last
-    estimate is reported unchanged.
+    The error bar is the main run's error (common to every estimate, so it
+    passes through the weights, which sum to one, once), plus the largest
+    ring bound times the sum of absolute Lagrange weights, plus the model
+    spread: the change in the limit when the first point of the fit is
+    dropped.  A main run that estimated nothing (an infinite error) gives an
+    infinite bar, which :attr:`CorrelationReport.fit_degenerate` reports.
     """
     eps = [float(e) for e in epsilons]
     if len(eps) < 2:
@@ -452,46 +459,20 @@ def correlation_limit(
         )
         for ring, noise in rings
     )
-    values = [est.value for est in estimates]
     noises = [0.0] + [noise for _, noise in rings]
 
+    # alpha in the caller's units, from the frame's forces: those of a tiny
+    # configuration would overflow when squared
+    alpha = -8.0 * math.pi * math.fsum(abs(f) ** 2 for f in forces(frame)) * area
     use = min(3, len(eps))
     xs = [e * e for e in eps[-use:]]
-    ys = values[-use:]
-    noise = math.fsum(noises[-use:])
-
-    def degenerate(error: float) -> CorrelationReport:
-        return CorrelationReport(tuple(eps), estimates, values[-1], error, fit_degenerate=True)
-
-    d_last = values[-1] - values[-2]
-    # a main run that estimated nothing supports no fit
-    if abs(d_last) <= 3.0 * noise or not math.isfinite(main.abs_error_estimate):
-        return degenerate(estimates[-1].abs_error_estimate)
-    order = None
-    if len(eps) >= 3:
-        d1 = values[-2] - values[-3]
-        ratio = d_last / d1 if d1 != 0.0 else math.inf
-        if not 0.0 < ratio < 1.0:
-            return degenerate(estimates[-1].abs_error_estimate + abs(d_last))
-        order = math.log(ratio) / math.log(eps[-1] / eps[-2])
-
+    ys = [est.value - alpha * math.log(e) for est, e in zip(estimates[-use:], eps[-use:])]
     limit, amplification = _lagrange_at_zero(xs, ys)
-    if use == 3:
-        shallow, _ = _lagrange_at_zero(xs[-2:], ys[-2:])
-        model_spread = abs(limit - shallow)
-    else:
-        model_spread = abs(limit - values[-1]) * (xs[-1] / xs[-2])
+    shallow, _ = _lagrange_at_zero(xs[1:], ys[1:])
     extrap_error = (
-        main.abs_error_estimate + amplification * max(noises[-use:]) + model_spread
+        main.abs_error_estimate + amplification * max(noises[-use:]) + abs(limit - shallow)
     )
-    return CorrelationReport(
-        epsilons=tuple(eps),
-        estimates=estimates,
-        extrapolated_limit=limit,
-        extrapolation_error=extrap_error,
-        fit_degenerate=False,
-        order_estimate=order,
-    )
+    return CorrelationReport(tuple(eps), estimates, limit, extrap_error)
 
 
 def default_quadrature_spec(config: VortexConfiguration) -> QuadratureSpec:

@@ -14,6 +14,8 @@ field, written independently of the library's vectorised integrand
   wherever ``G`` vanishes;
 * ``A_eps`` of an equilibrium as its exact series in ``eps``, which needs
   no quadrature and so checks the library's error bars;
+* the finite part ``F`` of ``A_eps = alpha log eps + F + O(eps^2)`` for any
+  configuration, in closed form from the forces;
 * the integrand's far-field tail beyond a radius ``R`` as a series in the
   moments ``M_m = sum_j d_j a_j^m``, independent of the library's closed
   form.
@@ -105,6 +107,31 @@ def eps_series(config, epsilon, terms=40):
             diagonal = math.fsum(abs(c) ** 2 for c in cs)
             total.append(epsilon ** (2 * n + 2) / (n + 1) * (abs(h) ** 2 - diagonal))
     return -math.pi * math.fsum(total)
+
+
+def finite_part(config):
+    """The finite part ``F`` of ``A_eps = alpha log eps + F + O(eps^2)``:
+
+    ``F = -pi sum_{m!=j} Re(g_m conj(g_j)) log|b_jm|^2
+    - 2 pi Re sum_m conj(g_m) sum_{j!=m} d_j^2/b_jm``
+
+    with ``g_m = 2 f_m`` the residues of ``G`` and ``b_jm = a_j - a_m``.  On
+    the circle about ``a_m`` the residue term ``(conj(g_m) log eps^2 +
+    V_m(a_m)) g_m`` of the contour form gives ``alpha log eps`` and, through
+    the logarithms in ``V_m(a_m)``, the double sum; the analytic part of
+    ``conj(g_j) log|z - a_j|^2`` against ``d_m^2/(z - a_m)^2`` gives the
+    single sum.  Everything else is a function of ``eps^2``.  ``F`` is zero
+    wherever every force is.
+    """
+    pos = config.positions
+    circ = config.circulations
+    g = [2.0 * f for f in forces(config)]
+    pairs = [(m, j) for m in range(len(pos)) for j in range(len(pos)) if j != m]
+    quadratic = [
+        (g[m] * g[j].conjugate()).real * 2.0 * math.log(abs(pos[j] - pos[m])) for m, j in pairs
+    ]
+    linear = [(g[m].conjugate() * circ[j] ** 2 / (pos[j] - pos[m])).real for m, j in pairs]
+    return -math.pi * math.fsum(quadratic) - 2.0 * math.pi * math.fsum(linear)
 
 
 def far_field_tail(config, radius, terms=60):

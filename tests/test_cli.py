@@ -159,7 +159,8 @@ def test_correlation_single_vortex(capsys, tmp_path):
     code, payload, _ = run_json(capsys, "correlation", path)
     assert code == 0
     assert payload["extrapolated_limit"] == 0.0
-    assert payload["fit_degenerate"] is True
+    assert payload["extrapolation_error"] == 0.0
+    assert payload["fit_degenerate"] is False
 
 
 def test_correlation_collinear(capsys, collinear_file):
@@ -712,6 +713,8 @@ def test_exit_code_contract(capsys, tmp_path, case):
         assert err.startswith("error: ")
     if expected == 5:
         assert err.endswith("; try perturbing the tau parameters\n")
+    if case == "pair-integral-coincident":
+        assert "vortices 0 and 1 coincide" in err
 
 
 @pytest.mark.parametrize("radius", ["0.5", "1.02"])

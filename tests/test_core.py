@@ -101,13 +101,13 @@ def test_energy_matches_oracle_on_random_configs(rng):
 
 
 def test_configuration_rejects_coincident_vortices():
-    with pytest.raises(ConfigurationError, match="0 and 2"):
+    with pytest.raises(ConfigurationError, match="0 and 2 coincide"):
         VortexConfiguration.from_pairs([(0.0, 1.0), (1.0, 1.0), (0.0, 1.0)])
 
 
 def test_configuration_rejects_a_coincident_pair_alone():
     # the floor scales with the diameter, which is 0 here
-    with pytest.raises(ConfigurationError, match="0 and 1"):
+    with pytest.raises(ConfigurationError, match="0 and 1 coincide"):
         VortexConfiguration.from_pairs([(0.5 + 0.5j, 1.0), (0.5 + 0.5j, -2.0)])
 
 
@@ -115,6 +115,13 @@ def test_configuration_names_first_close_pair_in_row_major_order():
     # (0, 3) and (1, 2) both fall below the floor; (0, 3) comes first
     with pytest.raises(ConfigurationError, match="vortices 0 and 3 "):
         VortexConfiguration.from_pairs([(0.0, 1.0), (1.0, 1.0), (1.0, -1.0), (0.0, 2.0)])
+
+
+def test_configuration_names_the_floor_for_close_vortices():
+    # a nonzero distance at or below the floor is reported against the floor
+    message = "separated by 1.000e-12, not above the floor 1.000e-09"
+    with pytest.raises(ConfigurationError, match=message):
+        VortexConfiguration.from_pairs([(0.0, 1.0), (1e-12, 1.0), (1.0, 1.0)])
 
 
 def test_diameter_and_min_separation_match_python_abs(rng):
