@@ -21,7 +21,6 @@ from .core import (
 from .equilibria import (
     AdlerMoserChain,
     DegenerateParametersError,
-    NearMultipleRootWarning,
     NewtonSettings,
     RefinementResult,
     RootConvergenceError,
@@ -44,7 +43,7 @@ from .correlation import (
     pair_integral,
 )
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 __all__ = [
     "__version__",
@@ -59,7 +58,6 @@ __all__ = [
     "transform",
     "AdlerMoserChain",
     "DegenerateParametersError",
-    "NearMultipleRootWarning",
     "NewtonSettings",
     "RefinementResult",
     "RootConvergenceError",

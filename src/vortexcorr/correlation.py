@@ -28,7 +28,8 @@ that :func:`_frame` picks from the centroid and the diameter, so a
 configuration far from the origin, or at any scale, meets the same
 floating-point range as one of unit size.  Values and errors come back
 to the caller's units by a power-of-two factor, which is exact, and so do
-the lengths in the message when the holes do not fit ``B_R``.
+the lengths in the message when the holes do not fit: quadrature alone
+rejects an ``eps`` that leaves a hole no room or a hole outside ``B_R``.
 
 The pair kernel ``1/(conj(z-p)^2 (z-q)^2)`` integrates to zero over the
 plane minus eps-disks at ``p`` and ``q`` (the two-disk identity), which one
@@ -263,17 +264,12 @@ def _pair(
 ) -> tuple[complex, float, float, int, bool]:
     """The two-disk integral of ``d_j^2 d_k^2 / (conj(z-a_j)^2 (z-a_k)^2)``.
 
-    Checks ``epsilon`` in the caller's units, integrates over ``B_R`` minus
-    the two ``epsilon``-disks in the frame of ``config`` and adds the exact
-    tail.  Returns the fields of a :class:`QuadratureResult` in the
+    Integrates over ``B_R`` minus the two ``epsilon``-disks in the frame of
+    ``config`` and adds the exact tail; an ``epsilon`` that leaves the disks
+    no room fails in quadrature, restated in the caller's units.  Returns the fields of a :class:`QuadratureResult` in the
     caller's units, with the corrected complex estimate as the value and
     the real part of the tail as the tail correction.
     """
-    half = 0.5 * abs(config.positions[j] - config.positions[k])
-    if not epsilon < half:
-        raise ValueError(
-            f"epsilon {epsilon} must be below half the pair separation {half}"
-        )
     frame, spec, shrink = _frame(config, replace(spec, epsilon=epsilon))
     p, q = frame.positions[j], frame.positions[k]
     weight = (config.circulations[j] * config.circulations[k]) ** 2
@@ -325,11 +321,6 @@ def correlation_A_eps(
     if len(config) == 1:
         return QuadratureResult(
             value=0.0, abs_error_estimate=0.0, tail_correction=0.0, cells_used=0
-        )
-    if not spec.epsilon < 0.5 * config.min_separation:
-        raise ValueError(
-            f"epsilon {spec.epsilon} must be below half the minimum pairwise "
-            f"distance {0.5 * config.min_separation}; the excised disks overlap"
         )
     frame, spec, shrink = _frame(config, spec)
 

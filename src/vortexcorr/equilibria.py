@@ -18,7 +18,6 @@ last bits depend on the LAPACK build.
 from __future__ import annotations
 
 import cmath
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,7 +36,6 @@ from .core import (
 __all__ = [
     "DegenerateParametersError",
     "RootConvergenceError",
-    "NearMultipleRootWarning",
     "AdlerMoserChain",
     "adler_moser_chain",
     "roots",
@@ -59,10 +57,6 @@ class RootConvergenceError(RuntimeError):
     def __init__(self, message: str, failed_indices: tuple[int, ...]):
         super().__init__(message)
         self.failed_indices = failed_indices
-
-
-class NearMultipleRootWarning(UserWarning):
-    """Two computed roots are close enough to suggest a multiple root."""
 
 
 def _wronskian_coeffs(p: Sequence[complex], q: Sequence[complex]) -> np.ndarray:
@@ -168,13 +162,6 @@ def adler_moser_chain(n: int, parameters: Sequence[complex] = ()) -> AdlerMoserC
     return chain
 
 
-def _close_pairs(z: np.ndarray) -> np.ndarray:
-    """Index pairs ``(i, j)``, ``i < j``, with ``|z_i - z_j| < 1e-6 * (1 + max |z|)``,
-    in row-major order."""
-    threshold = 1e-6 * (1.0 + float(np.abs(z).max()))
-    return np.argwhere(np.triu(np.abs(z[:, None] - z[None, :]) < threshold, 1))
-
-
 def _coefficient_scale(c: Sequence[complex], z: np.ndarray) -> np.ndarray:
     """``sum_i |c_i| max(1, |z|)^i``: the size of ``sum_i c_i z^i``'s terms,
     anchored at 1 so points near the origin keep a nonzero scale."""
@@ -197,8 +184,7 @@ def roots(coefficients: Sequence[complex]) -> list[complex]:
 
     Raises :class:`RootConvergenceError` when the eigenvalue solver fails,
     the companion matrix is not finite, or some polished root misses that
-    bound; emits :class:`NearMultipleRootWarning` when two roots end up
-    closer than ``1e-6 * (1 + max |root|)``.
+    bound.  Multiple roots are returned as computed, without a diagnostic.
     """
     # exact zeros only: polytrim would also drop a NaN leading coefficient
     c = pu.trimseq(np.asarray(coefficients, dtype=np.complex128))
@@ -227,14 +213,6 @@ def roots(coefficients: Sequence[complex]) -> list[complex]:
             f"roots {failed} miss the backward-error bound after the Newton polish",
             failed,
         )
-
-    for i, j in _close_pairs(z):
-        warnings.warn(
-            f"roots {i} and {j} are within 1e-6 of each other; "
-            "they may form a multiple root",
-            NearMultipleRootWarning,
-            stacklevel=2,
-        )
     return [complex(r) for r in z]
 
 
@@ -243,34 +221,30 @@ def config_from_adler_moser(chain: AdlerMoserChain) -> VortexConfiguration:
 
     The root sets must be simple and disjoint; degenerate parameters (for
     example ``tau_2 = 0``, which gives ``P_2 = z^3`` with a triple root)
-    raise :class:`DegenerateParametersError`; a root-finder failure propagates
-    as :class:`RootConvergenceError`.  The result is an equilibrium
-    up to root-finding accuracy; callers may refine it further.
+    raise :class:`DegenerateParametersError`.  One scale-free test finds
+    them: a root ``r`` is multiple when ``|P'(r)| <= 1e-6 sum_i |c'_i| |r|^i``
+    (``c'`` the derivative's coefficients), and by the Wronskian recurrence
+    a root shared by ``P_{n-1}`` and ``P_n`` is multiple in one of them.
+    A root-finder failure propagates as :class:`RootConvergenceError`.  The
+    result is an equilibrium up to root-finding accuracy; callers may refine
+    it further.
     """
     if chain.n < 1:
         raise ValueError("the chain must reach index 1 to define a configuration")
     p_low = chain.polynomials[chain.n - 1]
     p_high = chain.polynomials[chain.n]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NearMultipleRootWarning)
-        negative = roots(p_low) if len(p_low) > 1 else []
-        positive = roots(p_high)
+    negative = roots(p_low) if len(p_low) > 1 else []
+    positive = roots(p_high)
 
-    points = np.array(negative + positive, dtype=np.complex128)
-    if len(_close_pairs(points)):
-        raise DegenerateParametersError(
-            "two roots of the chain polynomials collide; "
-            "the parameters are degenerate"
-        )
-    # a simple root whose derivative value is negligible against the
-    # derivative's coefficient scale cannot be located reliably: treat it
-    # as a multiple root (tau_2 = 0 gives P_2 = z^3 with a triple root)
+    # a root whose derivative value is negligible against the size of the
+    # derivative's terms there is multiple (tau_2 = 0 gives P_2 = z^3);
+    # both sides scale alike under z -> lambda z
     for poly, root_list in ((p_low, negative), (p_high, positive)):
         if len(poly) < 3:
             continue
         dp = P.polyder(poly)
         r = np.array(root_list)
-        flat = np.abs(P.polyval(r, dp)) <= 1e-6 * _coefficient_scale(dp, r)
+        flat = np.abs(P.polyval(r, dp)) <= 1e-6 * P.polyval(np.abs(r), np.abs(dp))
         if flat.any():
             raise DegenerateParametersError(
                 f"root {complex(r[flat][0]):.6g} of a chain polynomial looks multiple "
@@ -285,7 +259,7 @@ def config_from_adler_moser(chain: AdlerMoserChain) -> VortexConfiguration:
     except ConfigurationError as exc:
         raise DegenerateParametersError(str(exc)) from exc
 
-    # near-multiple roots that slip past the distance check show up as a
+    # near-multiple roots that slip past the derivative test show up as a
     # grossly non-equilibrium force balance
     force_scale = len(config) ** 2 / config.min_separation
     if residual(config) > 1e-6 * force_scale:

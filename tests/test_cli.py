@@ -280,7 +280,7 @@ def test_pair_integral_moebius_block_closed_form(capsys):
 def test_pair_integral_eps_too_large_exit_2(capsys):
     code, out, err = run_cli(capsys, "pair-integral", "--p", "0,0", "--q", "1,0", "--eps", "0.6")
     assert code == 2
-    assert "half the pair separation" in err
+    assert "leaves no room for the cutoff" in err
 
 
 def test_pair_integral_infinite_point_exit_2(capsys):
@@ -309,6 +309,13 @@ def test_adler_moser_degenerate_exit_5(capsys):
     code, out, err = run_cli(capsys, "adler-moser", "--n", "2", "--tau-list", "0")
     assert code == 5
     assert "perturbing the tau parameters" in err
+
+
+def test_adler_moser_below_unit_scale_exit_0(capsys):
+    # the cube roots at scale 1e-3: a similarity of the tau = 1 equilibrium
+    code, payload, _ = run_json(capsys, "adler-moser", "--n", "2", "--tau-list", "1e-9")
+    assert code == 0
+    assert payload["degrees"] == [0, 1, 3]
 
 
 def test_adler_moser_root_nonconvergence_exit_4(capsys, monkeypatch):

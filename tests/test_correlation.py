@@ -104,7 +104,7 @@ def test_pair_integral_homothety():
 
 def test_pair_integral_preconditions():
     spec = QuadratureSpec(epsilon=0.6, cutoff_radius=100.0)
-    with pytest.raises(ValueError, match="half the pair separation"):
+    with pytest.raises(ValueError, match="leaves no room for the cutoff"):
         pair_integral(0.0, 1.0, 0.6, spec)
 
 
@@ -167,7 +167,7 @@ def test_single_vortex_is_exactly_zero():
 
 def test_a_eps_overlap_rejected():
     config = collinear_triple()
-    with pytest.raises(ValueError, match="overlap"):
+    with pytest.raises(ValueError, match="leaves no room for the cutoff"):
         correlation_A_eps(config, QuadratureSpec(0.6, 50.0))
 
 
@@ -340,9 +340,9 @@ def test_cross_pair_reports_the_callers_units():
     # the collinear triple scaled by 1000: vortices 0 and 1 are 1000 apart
     config = transform(collinear_triple(), Similarity(scale=1000.0))
     spec = QuadratureSpec(600.0, 50_000.0)
-    with pytest.raises(ValueError, match="half the pair separation") as caught:
+    with pytest.raises(ValueError, match="leaves no room for the cutoff") as caught:
         cross_pair_truncated(config, 0, 1, 600.0, spec)
-    assert "600" in str(caught.value) and "500" in str(caught.value)
+    assert "600" in str(caught.value) and "1000" in str(caught.value)
 
 
 def test_cross_pair_vanishes():

@@ -1,7 +1,6 @@
 import cmath
 import math
 import random
-import re
 import warnings
 
 import numpy as np
@@ -10,7 +9,6 @@ from numpy.polynomial import polynomial as P
 
 from vortexcorr import (
     DegenerateParametersError,
-    NearMultipleRootWarning,
     NewtonSettings,
     RootConvergenceError,
     Similarity,
@@ -146,25 +144,13 @@ def test_roots_cube_roots_of_minus_one():
 
 
 def test_roots_double_root_flagged():
+    # a double root comes back as two nearby roots, with no warning
     p = (1.0, -2.0, 1.0)
-    with pytest.warns(NearMultipleRootWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         found = roots(p)
     assert len(found) == 2
     assert all(abs(r - 1.0) < 1e-5 for r in found)
-
-
-def test_roots_warns_once_per_close_pair():
-    # (z - 1)^2 (z + 1)^2: two double roots, so two close pairs
-    p = P.polyfromroots([1.0, 1.0, -1.0, -1.0])
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        found = roots(p)
-    flagged = [w for w in caught if issubclass(w.category, NearMultipleRootWarning)]
-    assert len(flagged) == 2
-    for w in flagged:
-        i, j = (int(t) for t in re.findall(r"roots (\d+) and (\d+)", str(w.message))[0])
-        assert i < j
-        assert abs(found[i] - found[j]) < 1e-5
 
 
 def test_roots_recovers_random_multisets(rng):
@@ -247,6 +233,50 @@ def test_config_from_chain_n2():
 def test_config_from_chain_degenerate_parameters():
     with pytest.raises(DegenerateParametersError):
         config_from_adler_moser(adler_moser_chain(2, [0.0]))
+
+
+def _degenerate_tau3():
+    """The tau_3 that make P_3 degenerate for tau_2 = 1.
+
+    With ``Q = P_3`` at ``tau_3 = 0``, ``P_3 = Q + tau_3 z``.  It has a double
+    root at each root ``r`` of ``Q - z Q'`` when ``tau_3 = -Q'(r)``, and shares
+    the root ``r`` of ``P_2`` when ``tau_3 = -Q(r) / r``.
+    """
+    q = adler_moser_chain(3, [1.0, 0.0]).polynomials[3]
+    p2 = adler_moser_chain(2, [1.0]).polynomials[2]
+    dq = P.polyder(q)
+    double = [-P.polyval(r, dq) for r in P.polyroots(P.polysub(q, P.polymulx(dq)))]
+    shared = [-P.polyval(r, q) / r for r in P.polyroots(p2)]
+    return [complex(t) for t in double + shared]
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-12, 1e-10, 1e-8, 1e-6])
+def test_config_from_chain_near_degenerate_tau3(offset):
+    taus = _degenerate_tau3()
+    assert len(taus) == 9
+    for tau3 in taus:
+        chain = adler_moser_chain(3, [1.0, tau3 + offset])
+        if offset <= 1e-10:
+            with pytest.raises(DegenerateParametersError):
+                config_from_adler_moser(chain)
+        else:
+            config = config_from_adler_moser(chain)
+            assert len(config) == 9
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_config_from_chain_is_scale_free(n):
+    # z -> lam z maps the chain with tau_k = lam^(2k-1) onto the tau = 1 one
+    base = np.array(config_from_adler_moser(adler_moser_chain(n, [1.0] * (n - 1))).positions)
+    for lam in (1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6):
+        taus = [lam ** (2 * k - 1) for k in range(2, n + 1)]
+        scaled = np.array(config_from_adler_moser(adler_moser_chain(n, taus)).positions)
+        target = lam * base
+        # matched as a set: each scaled root is nearest to a distinct target
+        gaps = np.abs(scaled[:, None] - target[None, :])
+        nearest = gaps.argmin(axis=1)
+        assert sorted(nearest) == list(range(len(target)))
+        assert gaps.min(axis=1).max() <= 1e-12 * np.abs(target).max()
 
 
 def test_config_from_chain_n3():

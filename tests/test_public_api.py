@@ -12,7 +12,6 @@ PUBLIC_NAMES = [
     "CorrelationReport",
     "DegenerateParametersError",
     "MoebiusParams",
-    "NearMultipleRootWarning",
     "NewtonSettings",
     "QuadratureResult",
     "QuadratureSpec",
