@@ -218,34 +218,22 @@ def cmd_correlation(
         if params.get("eps_list")
         else default_epsilon_list(config)
     )
-    res = residual(config)
-    equilibrium = res <= 1e-6
-    if not (equilibrium or params.get("allow_nonequilibrium")):
-        raise CliFailure(
-            EXIT_INVARIANT,
-            f"configuration is not an equilibrium (residual {res:.6e} > 1e-06); "
-            "pass --allow-nonequilibrium for truncated estimates only",
-        )
     spec = _quadrature_spec(config, params)
     report = correlation_limit(config, eps_values, spec)
-    payload: dict = {
-        "residual": res,
+    converged_all = all(est.converged for est in report.estimates)
+    payload = {
+        "residual": residual(config),
         "epsilons": list(eps_values),
         "cutoff_radius": spec.cutoff_radius,
         "target_abs_error": spec.target_abs_error,
         "estimates": [
             {"epsilon": e, **asdict(est)} for e, est in zip(report.epsilons, report.estimates)
         ],
+        "extrapolated_limit": report.extrapolated_limit,
+        "extrapolation_error": report.extrapolation_error,
+        "fit_degenerate": report.fit_degenerate,
+        "budget_exhausted": not converged_all,
     }
-    for key in ("extrapolated_limit", "extrapolation_error", "fit_degenerate"):
-        payload[key] = getattr(report, key) if equilibrium else None
-    if not equilibrium:
-        payload["note"] = (
-            "extrapolation suppressed: the input is not an equilibrium, so "
-            "only truncated finite-(eps, R) values are reported"
-        )
-    converged_all = all(est.converged for est in report.estimates)
-    payload["budget_exhausted"] = not converged_all
     return payload, (EXIT_OK if converged_all else EXIT_NONCONVERGENCE)
 
 
@@ -376,11 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--max-cells", type=_positive_int, default=QuadratureSpec.max_cells)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument(
-        "--allow-nonequilibrium",
-        action="store_true",
-        help="report truncated values for a non-equilibrium input (no extrapolation)",
-    )
     with_manifest(p)
 
     p = sub.add_parser("pair-integral", help="two-disk pair integral and its annulus map")

@@ -162,12 +162,6 @@ def adler_moser_chain(n: int, parameters: Sequence[complex] = ()) -> AdlerMoserC
     return chain
 
 
-def _coefficient_scale(c: Sequence[complex], z: np.ndarray) -> np.ndarray:
-    """``sum_i |c_i| max(1, |z|)^i``: the size of ``sum_i c_i z^i``'s terms,
-    anchored at 1 so points near the origin keep a nonzero scale."""
-    return P.polyval(np.maximum(1.0, np.abs(z)), np.abs(c))
-
-
 # backward-error bound that every returned root must meet
 _ROOT_TOL = 1e-12
 
@@ -180,7 +174,8 @@ def roots(coefficients: Sequence[complex]) -> list[complex]:
     and the degree left must be at least 1.  The companion eigenvalues come
     from ``numpy.polynomial.polynomial.polyroots`` (LAPACK), in its sorted
     order; each then receives one Newton step.  Each returned root ``r``
-    satisfies ``|p(r)| <= 1e-12 * sum_i |c_i| max(1, |r|)^i``.
+    satisfies ``|p(r)| <= 1e-12 * sum_i |c_i| |r|^i``, a bound on the size of
+    ``p``'s terms at ``r`` that scales with ``p`` under ``z -> lambda z``.
 
     Raises :class:`RootConvergenceError` when the eigenvalue solver fails,
     the companion matrix is not finite, or some polished root misses that
@@ -205,7 +200,7 @@ def roots(coefficients: Sequence[complex]) -> list[complex]:
         dv = P.polyval(z, P.polyder(c))
         safe = dv != 0
         z = np.where(safe, z - pv / np.where(safe, dv, 1.0), z)
-        bound = _ROOT_TOL * _coefficient_scale(c, z)
+        bound = _ROOT_TOL * P.polyval(np.abs(z), np.abs(c))
         ok = np.isfinite(z) & (np.abs(P.polyval(z, c)) <= bound)
     if not ok.all():
         failed = tuple(int(i) for i in np.nonzero(~ok)[0])

@@ -20,6 +20,8 @@ from vortexcorr import (
 )
 from vortexcorr.cli import main
 
+from oracles import finite_part
+
 
 def write_config(path, rows, label=None):
     payload = {"vortices": [{"x": x, "y": y, "d": d} for x, y, d in rows]}
@@ -129,29 +131,27 @@ def test_check_rejects_zero_tol(capsys, collinear_file):
 # -------------------------------------------------------------- correlation
 
 
-def test_correlation_gate_exit_3(capsys, two_positive_file):
-    code, out, err = run_cli(capsys, "correlation", two_positive_file)
-    assert code == 3
-    assert "residual" in err
+# off equilibrium the limit is the finite part F of A_eps = alpha log eps + F
+# + O(eps^2); two unit vortices a distance 1 apart have forces -+1 and F = 8 pi
+NONEQUILIBRIUM_ROWS = {
+    "like_signed_pair": [(0.0, 0.0, 1.0), (1.0, 0.0, 1.0)],
+    "moved_triple": [(-1.0, 0.0, 1.0), (0.0, 0.05, -0.5), (1.0, 0.0, 1.0)],
+}
 
 
-def test_correlation_allow_nonequilibrium(capsys, two_positive_file):
-    code, payload, _ = run_json(
-        capsys,
-        "correlation",
-        two_positive_file,
-        "--allow-nonequilibrium",
-        "--eps-list",
-        "0.2,0.1",
-        "--radius",
-        "20",
-        "--target-error",
-        "1e-3",
-    )
-    assert code == 0
-    assert payload["extrapolated_limit"] is None
-    assert "note" in payload
-    assert len(payload["estimates"]) == 2
+@pytest.mark.parametrize("name", sorted(NONEQUILIBRIUM_ROWS))
+def test_correlation_reports_the_finite_part_off_equilibrium(capsys, tmp_path, name):
+    rows = NONEQUILIBRIUM_ROWS[name]
+    path = write_config(tmp_path / "config.json", rows)
+    expected = finite_part(VortexConfiguration.from_coordinates(rows))
+    if name == "like_signed_pair":
+        assert math.isclose(expected, 8.0 * math.pi, rel_tol=1e-15)
+    code, payload, err = run_json(capsys, "correlation", path)
+    assert code == 0, err
+    assert payload["residual"] > 0.01
+    assert abs(payload["extrapolated_limit"] - expected) <= payload["extrapolation_error"]
+    assert payload["fit_degenerate"] is False
+    assert "note" not in payload
 
 
 def test_correlation_single_vortex(capsys, tmp_path):
@@ -534,6 +534,47 @@ def test_replay_across_versions_says_so(capsys, collinear_file, tmp_path):
     assert "vortexcorr 0.1.0" in err
     assert f"vortexcorr {__version__}" in err
     assert "bit-exact only within a version" in err
+
+
+def test_replay_of_a_suppressed_limit_differs(capsys, two_positive_file, tmp_path):
+    # version 0.14.0 ran a non-equilibrium only with --allow-nonequilibrium
+    # and nulled its limit; this version reports the limit, so the manifest
+    # no longer reproduces, and replay says which versions differ
+    manifest = tmp_path / "run.json"
+    code, payload, _ = run_json(capsys, "correlation", two_positive_file)
+    assert code == 0
+    payload.update(
+        extrapolated_limit=None,
+        extrapolation_error=None,
+        fit_degenerate=None,
+        note="extrapolation suppressed: the input is not an equilibrium, so "
+        "only truncated finite-(eps, R) values are reported",
+    )
+    parameters = {
+        "allow_nonequilibrium": True,
+        "config_path": two_positive_file,
+        "eps_list": None,
+        "max_cells": 2_000_000,
+        "radius": None,
+        "target_error": 1e-05,
+    }
+    manifest.write_text(
+        json.dumps(
+            {
+                "command": "correlation",
+                "parameters": parameters,
+                "results": payload,
+                "tool_version": "vortexcorr 0.14.0",
+            }
+        )
+    )
+    code, out, err = run_cli(capsys, "replay", str(manifest))
+    assert code == 1
+    assert "DIFFER" in err
+    assert "vortexcorr 0.14.0" in err
+    assert "bit-exact only within a version" in err
+    assert "Traceback" not in out + err
+    assert strict_loads(out)["extrapolated_limit"] is not None
 
 
 def test_repeated_cli_runs_are_bit_identical(capsys, collinear_file):

@@ -18,6 +18,7 @@ from vortexcorr import (
     cross_pair_truncated,
     default_epsilon_list,
     default_quadrature_spec,
+    forces,
     moebius_params,
     pair_integral,
     transform,
@@ -608,6 +609,31 @@ def test_finite_part_explains_the_gap_to_the_exact_series(n):
     e = default_epsilon_list(config)[-1]
     gap = _contour_A_eps(frame, e * shrink)[0] * shrink * shrink - eps_series(config, e)
     assert abs(gap - finite_part(config)) <= 0.05 * abs(gap)
+
+
+def test_remainder_after_the_finite_part_falls_like_eps_squared():
+    # A_eps - alpha log eps - F = O(eps^2) for every configuration: over a
+    # decade of eps the remainder falls 100-fold, with no stray log or
+    # constant.  Each remainder is far above the contour bound, so the
+    # ratio measures the law, not the rounding
+    rng = np.random.default_rng(3)
+    ratios = []
+    for n in (3, 5, 8, 13, 21, 34, 50):
+        for _ in range(2):
+            config = random_configuration(rng, n, box=1.5 * math.sqrt(n))
+            frame, _, shrink = _frame(config, default_quadrature_spec(config))
+            area = shrink * shrink
+            alpha = -8.0 * math.pi * math.fsum(abs(f) ** 2 for f in forces(config))
+            remainders = []
+            for fraction in (1e-2, 1e-3, 1e-4):
+                e = fraction * config.min_separation
+                value, trapezoid, rounding = _contour_A_eps(frame, e * shrink)
+                remainder = value * area - alpha * math.log(e) - finite_part(config)
+                assert abs(remainder) > 100.0 * (trapezoid + rounding) * area
+                remainders.append(remainder)
+            ratios += [r / r_next for r, r_next in zip(remainders, remainders[1:])]
+    assert len(ratios) == 28
+    assert all(90.0 <= ratio <= 110.0 for ratio in ratios), ratios
 
 
 def test_contour_sum_matches_quadrature_off_equilibrium():

@@ -187,9 +187,21 @@ def test_roots_meet_backward_error_bound_on_chain_polynomials():
         found = roots(p)
         assert len(found) == len(p) - 1
         for r in found:
-            anchor = max(1.0, abs(r))
-            bound = math.fsum(abs(c) * anchor**i for i, c in enumerate(p))
+            bound = math.fsum(abs(c) * abs(r) ** i for i, c in enumerate(p))
             assert abs(P.polyval(r, p)) <= 1e-12 * bound
+
+
+def test_roots_bound_rejects_a_wrong_root_below_unit_scale(monkeypatch):
+    # the roots of z^3 + 1e-27 have modulus 1e-9; after its Newton polish a
+    # companion eigenvalue of 9e-5 leaves |p| = 2.2e-13, small in absolute
+    # terms but far above 1e-12 times the size of p's terms there (2.2e-25)
+    p = (1e-27, 0.0, 0.0, 1.0)
+    true_roots = [1e-9 * cmath.exp(1j * math.pi * (2 * k + 1) / 3) for k in range(3)]
+    wrong = np.array([9e-5] + true_roots[1:], dtype=np.complex128)
+    monkeypatch.setattr(equilibria.P, "polyroots", lambda c: wrong.copy())
+    with pytest.raises(RootConvergenceError) as info:
+        roots(p)
+    assert info.value.failed_indices == (0,)
 
 
 def test_roots_overflowing_companion_raises_without_runtime_warning():
