@@ -43,7 +43,7 @@ from .correlation import (
     pair_integral,
 )
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"
 
 __all__ = [
     "__version__",

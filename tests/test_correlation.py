@@ -561,6 +561,27 @@ def test_error_bars_cover_the_exact_series(name):
             assert abs(est.value - exact) <= est.abs_error_estimate
 
 
+# main-run cells at the default spec under one-cell-at-a-time greedy
+# refinement (version 0.15.0); rounds of eight splits may overshoot the
+# target by a few cells, not by more than 2%
+GREEDY_CELLS = {
+    "collinear": 392,
+    "cube_roots": 624,
+    "adler_moser_3": 4_524,
+    "adler_moser_4": 20_304,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GREEDY_CELLS))
+def test_batched_refinement_keeps_the_cell_count(name):
+    config = SERIES_CASES[name][0]()
+    spec = default_quadrature_spec(config)
+    report = correlation_limit(config, default_epsilon_list(config), spec)
+    assert report.estimates[0].converged
+    assert report.estimates[0].cells_used <= 1.02 * GREEDY_CELLS[name]
+    assert abs(report.extrapolated_limit) <= report.extrapolation_error
+
+
 def _moved_series_case(name):
     build, rotation, translation = SERIES_CASES[name]
     return transform(build(), Similarity(rotation=rotation, translation=translation))

@@ -10,6 +10,7 @@ from vortexcorr.quadrature import (
     QuadratureResult,
     QuadratureSpec,
     _cutoff,
+    _hole_weight,
     _smooth_step,
     integrate_disk,
     integrate_excised_disk,
@@ -58,6 +59,42 @@ def test_cutoff_is_a_partition_of_unity():
     ts = np.linspace(-0.5, 1.5, 20_001)
     gap = _smooth_step(ts) + _smooth_step(1.0 - ts) - 1.0
     assert np.max(np.abs(gap)) <= 4.0 * np.finfo(np.float64).eps
+
+
+def hole_weight_reference(zs, holes):
+    """The background weight as one N x holes table, the form of version 0.15.0."""
+    centers, plateaus, supports = holes
+    dist = np.abs(zs[:, None] - centers)
+    node, hole = np.nonzero(dist < supports)
+    w = np.ones(len(zs))
+    w[node] = 1.0 - _cutoff(dist[node, hole], plateaus[hole], supports[hole])
+    return w
+
+
+def test_hole_weight_keeps_its_bits(rng):
+    # a hole at the origin with dyadic radii puts nodes at exactly the
+    # plateau and support distances; the random ones have disjoint supports
+    hole_sets = [(np.array([0j]), np.array([0.25]), np.array([0.375]))]
+    for n in (2, 5, 9):
+        centers = np.array(random_configuration(rng, n).positions)
+        gaps = np.abs(centers[:, None] - centers)
+        np.fill_diagonal(gaps, np.inf)
+        room = gaps.min(axis=1)
+        hole_sets.append((centers, 0.25 * room, 0.45 * room))
+    for holes in hole_sets:
+        zs = [rng.uniform(-3.0, 3.0, 400) + 1j * rng.uniform(-3.0, 3.0, 400)]
+        for c, p, s in zip(*holes):
+            direction = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 40))
+            zs.append(c + rng.uniform(0.0, 1.2 * s, 40) * direction)
+            # one ulp inside and outside the support, on it, and on the plateau
+            for r in (np.nextafter(s, 0.0), s, np.nextafter(s, np.inf), p):
+                zs.append(c + r * np.concatenate([direction, [1.0, -1.0, 1j, -1j]]))
+        zs = np.concatenate(zs)
+        weights = _hole_weight(zs, holes)
+        assert np.array_equal(weights, hole_weight_reference(zs, holes))
+        # the nodes cover the plateau, the ramp and the outside of the holes
+        assert (weights == 0.0).any() and (weights == 1.0).any()
+        assert ((0.0 < weights) & (weights < 1.0)).any()
 
 
 def ones(z):
@@ -133,17 +170,21 @@ def test_excisions_must_fit_inside_domain():
 
 
 def test_budget_exhaustion_flag():
-    value, err, cells, converged = integrate_excised_disk(
-        lambda z: 1.0 / (z.real**2 + z.imag**2),
-        [0j],
-        0.01,
-        10.0,
-        1e-12,
-        max_cells=200,
-    )
-    assert not converged
-    assert cells <= 200
-    assert err > 1e-12
+    # each round splits up to eight cells, none past the budget, so an
+    # exhausted run stops within one split (four cells) of it; the budgets
+    # are not multiples of the 32 cells of a full round
+    for max_cells in (200, 203, 1001):
+        value, err, cells, converged = integrate_excised_disk(
+            lambda z: 1.0 / (z.real**2 + z.imag**2),
+            [0j],
+            0.01,
+            10.0,
+            1e-12,
+            max_cells=max_cells,
+        )
+        assert not converged
+        assert max_cells - 3 <= cells <= max_cells
+        assert err > 1e-12
 
 
 def test_bit_identical_repeat_runs():
@@ -165,10 +206,10 @@ def test_bit_exact_golden_values():
     centers = [0j, 0.8 + 0.3j, -0.6 + 0.9j]
     value, err, cells, converged = integrate_excised_disk(f, centers, 0.05, 6.0, 1e-6, 10**5)
     assert (value.real.hex(), value.imag.hex(), err.hex(), cells, converged) == (
-        "-0x1.25c8c46c827dbp+1",
-        "0x1.db32df329eea2p+0",
-        "0x1.092af767071bbp-20",
-        640,
+        "-0x1.25c8c3927b485p+1",
+        "0x1.db32ddafffcd2p+0",
+        "0x1.d384e46ea36f2p-22",
+        808,
         True,
     )
 
@@ -185,10 +226,10 @@ def test_bit_exact_golden_values():
         res.cells_used,
         res.converged,
     ) == (
-        "0x1.8929cb61f0000p-22",
-        "0x1.a4220bdaf7152p-16",
+        "0x1.66af01aff0000p-23",
+        "0x1.f743f0c042f6dp-17",
         "0x1.01024c4334cafp-7",
-        160,
+        176,
         True,
     )
 
@@ -207,10 +248,10 @@ def test_bit_exact_golden_values():
         res.cells_used,
         res.converged,
     ) == (
-        "0x1.53509b36d2000p-20",
-        "0x1.8bcea630cf472p-14",
+        "0x1.0b9c65f217800p-20",
+        "0x1.43a6c3de35d5fp-14",
         "0x1.015bf9217271ap-9",
-        172,
+        176,
         True,
     )
 
@@ -223,7 +264,7 @@ def test_bit_exact_golden_values():
     assert (value.real.hex(), value.imag.hex(), err.hex(), cells, converged) == (
         "0x1.9b05b41126873p-1",
         "0x1.382d377407954p-2",
-        "0x1.025ac0e49b6bdp-37",
-        80,
+        "0x1.0777543402df9p-39",
+        104,
         True,
     )

@@ -115,9 +115,21 @@ def test_integrand_far_field_decay(two_vortices):
         assert abs(value - coefficient) / coefficient < tol
 
 
-def test_vectorised_matches_scalar(rng):
-    config = random_configuration(rng, 5)
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 16])
+def test_vectorised_matches_scalar(rng, n):
+    # non-unit circulations of both signs: with |d| = 1 a d^2 in place of
+    # d^4 would go unnoticed
+    positions = random_configuration(rng, n).positions
+    signs = [(-1.0) ** k for k in range(n)]
+    circulations = rng.uniform(0.5, 2.0, size=n) * signs
+    config = VortexConfiguration.from_pairs(list(zip(positions, circulations)))
     zs = np.array([random_point_clear_of(rng, config) for _ in range(40)])
     vals = integrand_values(config, zs)
+    assert vals.shape == zs.shape
     for z, v in zip(zs, vals):
         assert v == pytest.approx(integrand(config, complex(z)), rel=1e-12, abs=1e-300)
+    # 0-d and 2-D points come back in their own shape, with the same values
+    point = integrand_values(config, zs[0])
+    assert point.shape == () and point == vals[0]
+    grid = integrand_values(config, zs.reshape(5, 8))
+    assert grid.shape == (5, 8) and np.array_equal(grid.ravel(), vals)
