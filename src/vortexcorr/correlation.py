@@ -266,9 +266,10 @@ def _pair(
 
     Integrates over ``B_R`` minus the two ``epsilon``-disks in the frame of
     ``config`` and adds the exact tail; an ``epsilon`` that leaves the disks
-    no room fails in quadrature, restated in the caller's units.  Returns the fields of a :class:`QuadratureResult` in the
-    caller's units, with the corrected complex estimate as the value and
-    the real part of the tail as the tail correction.
+    no room fails in quadrature, restated in the caller's units.  Returns
+    the fields of a :class:`QuadratureResult` in the caller's units, with
+    the corrected complex estimate as the value and the real part of the
+    tail as the tail correction.
     """
     frame, spec, shrink = _frame(config, replace(spec, epsilon=epsilon))
     p, q = frame.positions[j], frame.positions[k]
@@ -410,11 +411,11 @@ def correlation_limit(
     the module docstring).  For every configuration ``A_eps = alpha log eps
     + F + O(eps^2)`` with ``alpha = -2 pi sum_m |2 f_m|^2`` known from the
     forces: the circle integrals of :func:`_contour_A_eps` give ``alpha log
-    eps`` and ``F`` by residues, and the rest is a series in ``eps^2``.  So ``alpha log eps_i`` (``eps_i`` in the caller's units) is
-    subtracted from every estimate and the remainder is
-    Richardson-extrapolated in ``x = eps^2`` through the last (up to three)
-    points.  The limit is ``F``; both ``alpha`` and ``F`` vanish at an
-    equilibrium.
+    eps`` and ``F`` by residues, and the rest is a series in ``eps^2``.  So
+    ``alpha log eps_i`` (``eps_i`` in the caller's units) is subtracted from
+    every estimate and the remainder is Richardson-extrapolated in ``x =
+    eps^2`` through the last (up to three) points.  The limit is ``F``; both
+    ``alpha`` and ``F`` vanish at an equilibrium.
 
     The error bar is the main run's error (common to every estimate, so it
     passes through the weights, which sum to one, once), plus the largest

@@ -32,9 +32,11 @@ Every cell is a rectangle in (r, theta) carrying the polar Jacobian.
 Cells are estimated with two independent Gauss-Legendre product rules
 (7x7 and 11x11); their difference drives global greedy refinement in
 rounds, each splitting the eight worst cells into four, until the summed
-error estimate meets the target or the cell budget runs out.  Refinement
-order is fixed and the final reduction is ``math.fsum``, correctly rounded
-whatever the order of its terms, so results are bit-for-bit reproducible.
+error estimate meets the target or the cell budget runs out.  That sum is
+kept exact as Shewchuk's partials (the recipe behind ``math.fsum``), new
+cells' errors added and split cells' subtracted.  Refinement order is
+fixed and every reduction is correctly rounded, so results are bit-for-bit
+reproducible.
 
 Cells are estimated in batches from one region, with one call of ``f`` on
 all the batch's nodes: the starting cells one ring (the angular panels of
@@ -65,12 +67,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = [
-    "QuadratureSpec",
-    "QuadratureResult",
-    "integrate_excised_disk",
-    "integrate_disk",
-]
+__all__ = ["QuadratureSpec", "QuadratureResult", "integrate_excised_disk"]
 
 _NODES_LOW, _WEIGHTS_LOW = np.polynomial.legendre.leggauss(7)
 _NODES_HIGH, _WEIGHTS_HIGH = np.polynomial.legendre.leggauss(11)
@@ -83,7 +80,6 @@ _MIN_REL_CELL = 1e-9
 # Largest truncation radius, with a wide margin: from 2**512 on the polar cell
 # weights r dr dtheta leave the floating-point range.
 _MAX_RADIUS = 2.0**340
-_RESYNC_EVERY = 64
 # cells split per refinement round; their children, at most 32 cells and 5,440
 # nodes, go to f in one call per region
 _BATCH = 8
@@ -218,15 +214,14 @@ def _cell_estimates(
     zs = np.concatenate([z_low.ravel(), z_high.ravel()])
 
     vals = np.asarray(f(zs))
-    if region.holes is not None:
+    wr = _WEIGHTS * r
+    if region.holes is None:
+        wr *= _cutoff(r, region.plateau, region.support)
+    else:
         vals = vals * _hole_weight(zs, region.holes)
+    wr *= rh[:, None]
     v_low = vals[:n_low].reshape(z_low.shape)
     v_high = vals[n_low:].reshape(z_high.shape)
-
-    wr = _WEIGHTS * r
-    if region.plateau is not None:
-        wr *= _cutoff(r, region.plateau, region.support)
-    wr *= rh[:, None]
     wt = _WEIGHTS * th[:, None]
     i_low = np.einsum("ci,cj,cij->c", wr[:, _LOW], wt[:, _LOW], v_low)
     i_high = np.einsum("ci,cj,cij->c", wr[:, _HIGH], wt[:, _HIGH], v_high)
@@ -247,16 +242,14 @@ def _geometric_edges(inner: float, outer: float) -> list[float]:
     return edges
 
 
-def _polar_cells(
-    index: int, radial_edges: Sequence[float], angular_panels: int = 8
-) -> list[tuple[int, _Cell]]:
+def _polar_cells(index: int, radial_edges: Sequence[float]) -> list[tuple[int, _Cell]]:
     """Starting cells of region ``index``: every radial interval split into
-    equal angular panels, ordered ring by ring."""
-    dt = 2.0 * math.pi / angular_panels
+    eight equal angular panels, ordered ring by ring."""
+    dt = 0.25 * math.pi
     return [
         (index, (a, b, i * dt, (i + 1) * dt))
         for a, b in zip(radial_edges[:-1], radial_edges[1:])
-        for i in range(angular_panels)
+        for i in range(8)
     ]
 
 
@@ -283,6 +276,21 @@ def _background_cells(
     return _polar_cells(index, cleaned)
 
 
+def _add(partials: list[float], x: float) -> None:
+    """Add ``x`` exactly to Shewchuk's nonoverlapping ``partials`` (the ``msum`` recipe)."""
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    partials[i:] = [x]
+
+
 def _adaptive(
     f: Callable[[np.ndarray], np.ndarray],
     regions: Sequence[_Region],
@@ -295,22 +303,18 @@ def _adaptive(
         # than claim an error bar for work beyond it
         return 0j, math.inf, 0, False
     heap: list[tuple[float, int, int, _Cell, complex]] = []
-    frozen: list[tuple[complex, float]] = []
+    frozen: list[complex] = []
+    # the exact error total of the heap and frozen cells
+    partials: list[float] = []
     seq = 0
-    cells_used = 0
-    running_err = 0.0
 
     def push(region_idx: int, cells: Sequence[_Cell]) -> None:
-        nonlocal seq, cells_used, running_err
+        nonlocal seq
         values, errs = _cell_estimates(f, regions[region_idx], cells)
         for cell, value, err in zip(cells, values, errs):
             heapq.heappush(heap, (-err, seq, region_idx, cell, value))
             seq += 1
-            cells_used += 1
-            running_err += err
-
-    def exact_err() -> float:
-        return math.fsum(-h[0] for h in heap) + math.fsum(e for _, e in frozen)
+            _add(partials, err)
 
     # one batch per ring: a whole region at once would hold its full node set
     # (and f's per-node temporaries) in memory
@@ -319,22 +323,12 @@ def _adaptive(
     ):
         push(region_idx, [cell for _, cell in ring])
 
-    budget_ok = True
-    splits = 0
-    while True:
-        if running_err <= target_abs_error:
-            # confirm against drift of the incremental total before stopping
-            running_err = exact_err()
-            if running_err <= target_abs_error:
-                break
-        if not heap:
-            break
-        if cells_used + 4 > max_cells:
-            budget_ok = False
-            break
+    # a non-finite cell error never leaves the total, so no split can bring it
+    # to the target; a run stopped by the budget ends above the target
+    while heap and target_abs_error < math.fsum(partials) < math.inf and seq + 4 <= max_cells:
         # one round: the worst cells, at most _BATCH of them and no more than
         # the budget can split; their children by region, in pop order
-        room = (max_cells - cells_used) // 4
+        room = (max_cells - seq) // 4
         children: dict[int, list[_Cell]] = {}
         taken = 0
         for _ in range(_BATCH):
@@ -344,9 +338,9 @@ def _adaptive(
             r0, r1, t0, t1 = cell
             if (r1 - r0) <= _MIN_REL_CELL * (1.0 + r1) or (t1 - t0) <= _MIN_REL_CELL:
                 # too small to split usefully; its error estimate stays in the total
-                frozen.append((value, -neg_err))
+                frozen.append(value)
                 continue
-            running_err += neg_err
+            _add(partials, neg_err)
             rm = 0.5 * (r0 + r1)
             tm = 0.5 * (t0 + t1)
             children.setdefault(region_idx, []).extend(
@@ -355,19 +349,12 @@ def _adaptive(
             taken += 1
         for region_idx in sorted(children):
             push(region_idx, children[region_idx])
-        if (splits + taken) // _RESYNC_EVERY > splits // _RESYNC_EVERY:
-            running_err = exact_err()
-        splits += taken
 
-    # math.fsum is correctly rounded, so the order of the entries is irrelevant
-    entries = [(v, -ne) for ne, _, _, _, v in heap] + frozen
-    value = complex(
-        math.fsum(v.real for v, _ in entries),
-        math.fsum(v.imag for v, _ in entries),
-    )
-    error = math.fsum(e for _, e in entries)
-    converged = budget_ok and error <= target_abs_error
-    return value, error, cells_used, converged
+    # math.fsum is correctly rounded, so the order of the values is irrelevant
+    values = [h[-1] for h in heap] + frozen
+    value = complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
+    error = math.fsum(partials)
+    return value, error, seq, error <= target_abs_error
 
 
 class _Misfit(ValueError):
@@ -430,16 +417,3 @@ def integrate_excised_disk(
     cells.extend(_background_cells(len(patches), patches, cutoff_radius))
     regions = patches + [_Region(center=0j, holes=holes)]
     return _adaptive(f, regions, cells, target_abs_error, max_cells)
-
-
-def integrate_disk(
-    f: Callable[[np.ndarray], np.ndarray],
-    center: complex,
-    radius: float,
-    target_abs_error: float,
-    max_cells: int = 100_000,
-) -> tuple[complex, float, int, bool]:
-    """Integrate a smooth ``f`` over the full disk ``B_radius(center)``."""
-    region = _Region(center=complex(center))
-    cells = _polar_cells(0, [0.0, 0.5 * radius, radius], angular_panels=4)
-    return _adaptive(f, [region], cells, target_abs_error, max_cells)

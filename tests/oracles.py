@@ -18,7 +18,9 @@ field, written independently of the library's vectorised integrand
   configuration, in closed form from the forces;
 * the integrand's far-field tail beyond a radius ``R`` as a series in the
   moments ``M_m = sum_j d_j a_j^m``, independent of the library's closed
-  form.
+  form;
+* the pair kernel ``1/(conj(z-p)^2 (z-q)^2)`` over a disk that holds
+  neither pole, in closed form.
 
 Callers keep the evaluation point away from the vortices; nothing here
 checks it.
@@ -161,3 +163,19 @@ def far_field_tail(config, radius, terms=60):
         diagonal = math.fsum(d**4 * (k + 1) ** 2 * abs(a) ** (2 * k) for a, d in zip(pos, circ))
         total.append((abs(c) ** 2 - diagonal) / (k + 1) * radius ** (-2 * k - 2))
     return math.pi * math.fsum(total)
+
+
+def pair_kernel_over_disk(p, q, center, radius):
+    """The integral of ``1/(conj(z-p)^2 (z-q)^2)`` over the disk
+    ``|z - center| < radius``, which holds neither ``p`` nor ``q``:
+
+    ``pi radius^2 / (conj(p - c)(q - c) - radius^2)^2``.
+
+    With ``w = z - c`` each factor is the series ``sum_n (n+1) w^n /
+    (q-c)^(n+2)`` (and its conjugate), the disk keeps only the diagonal
+    terms, ``|w|^(2n)`` integrates to ``pi radius^(2n+2)/(n+1)``, and
+    ``sum_n (n+1) u^n = 1/(1-u)^2`` at ``u = radius^2/(conj(p-c)(q-c))``.
+    """
+    pc = complex(p) - center
+    qc = complex(q) - center
+    return math.pi * radius * radius / (pc.conjugate() * qc - radius * radius) ** 2

@@ -1,5 +1,6 @@
 import cmath
 import functools
+import json
 import math
 from dataclasses import replace
 
@@ -21,13 +22,20 @@ from vortexcorr import (
     forces,
     moebius_params,
     pair_integral,
+    residual,
     transform,
 )
-from vortexcorr.correlation import _contour_A_eps, _far_field_tail, _frame, _pair_tail
-from vortexcorr.quadrature import integrate_disk, integrate_excised_disk
+from vortexcorr.correlation import (
+    _contour_A_eps,
+    _far_field_tail,
+    _frame,
+    _lagrange_at_zero,
+    _pair_tail,
+)
+from vortexcorr.quadrature import integrate_excised_disk
 
 from conftest import random_configuration
-from oracles import eps_series, far_field_tail, finite_part
+from oracles import eps_series, far_field_tail, finite_part, pair_kernel_over_disk
 
 
 @pytest.fixture(scope="module")
@@ -365,28 +373,17 @@ def test_cross_pair_decomposition_matches_a_eps():
 
     pos = config.positions
     d = config.circulations
-    corrections = []
-    correction_err = 0.0
-    for (j, k) in pairs:
-        for l in range(3):
-            if l in (j, k):
-                continue
-            weight = (d[j] * d[k]) ** 2
-
-            def f(zs, p=pos[j], q=pos[k], w=weight):
-                return w / (np.conj(zs - p) ** 2 * (zs - q) ** 2)
-
-            value, err, *_ = integrate_disk(f, pos[l], eps, 1e-9)
-            corrections.append(value.real)
-            correction_err += err
+    # the third vortex's disk, added back in closed form
+    corrections = [
+        ((d[j] * d[k]) ** 2 * pair_kernel_over_disk(pos[j], pos[k], pos[l], eps)).real
+        for (j, k) in pairs
+        for l in range(3)
+        if l not in (j, k)
+    ]
 
     sum_cross = math.fsum(cross[jk].value for jk in pairs)
     lhs = sum_cross - math.fsum(corrections)
-    budget = (
-        math.fsum(cross[jk].abs_error_estimate for jk in pairs)
-        + total.abs_error_estimate
-        + correction_err
-    )
+    budget = math.fsum(cross[jk].abs_error_estimate for jk in pairs) + total.abs_error_estimate
     assert abs(lhs - total.value) <= budget
     # the individual two-disk integrals all vanish, so their sum is tiny
     # even though A_eps itself is only O(eps^2)
@@ -674,6 +671,62 @@ def test_contour_sum_matches_quadrature_off_equilibrium():
             assert quadrature.converged
             bar = quadrature.abs_error_estimate + (trapezoid + rounding) * area
             assert abs(value * area - quadrature.value) <= bar
+
+
+# an equilibrium with generic real circulations (diameter 14.2), from a
+# Gauss-Newton solve of v_j = sum_{k != j} d_k/(a_j - a_k) = 0 in positions
+# and circulations together; kept exactly as found
+GENERIC_N5 = json.loads(
+    '{"vortices": ['
+    '{"x": 7.011786438118802, "y": -5.579557592950711, "d": 1.9181449643497057}, '
+    '{"x": 1.5947710165322673, "y": 2.313332075971045, "d": -0.26272407055998614}, '
+    '{"x": -1.2496325214903738, "y": 4.244544261312464, "d": 0.6471437454534819}, '
+    '{"x": -6.428002150573331, "y": -0.9317608349728624, "d": 0.6112243327058589}, '
+    '{"x": -2.2483475710131136, "y": -0.7505270345756404, "d": -0.677720994449256}]}'
+)
+
+
+@pytest.fixture(scope="module")
+def generic_n5():
+    return VortexConfiguration.from_pairs(
+        [(complex(v["x"], v["y"]), v["d"]) for v in GENERIC_N5["vortices"]]
+    )
+
+
+def test_generic_equilibrium_has_zero_finite_part(generic_n5):
+    config = generic_n5
+    assert residual(config) <= 1e-12
+    # O'Neil's necessary condition for an equilibrium: sum_{j<k} d_j d_k = 0
+    d = config.circulations
+    assert abs(math.fsum(d[j] * d[k] for j in range(5) for k in range(j + 1, 5))) <= 1e-11
+    assert abs(finite_part(config)) <= 1e-12
+    # the contour form, extrapolated as correlation_limit does, lands within
+    # its model spread of F = 0
+    frame, _, shrink = _frame(config, default_quadrature_spec(config))
+    eps = default_epsilon_list(config)
+    alpha = -8.0 * math.pi * math.fsum(abs(f) ** 2 for f in forces(config))
+    xs = [e * e for e in eps]
+    ys = [
+        _contour_A_eps(frame, e * shrink)[0] * shrink * shrink - alpha * math.log(e)
+        for e in eps
+    ]
+    limit, _ = _lagrange_at_zero(xs, ys)
+    shallow, _ = _lagrange_at_zero(xs[1:], ys[1:])
+    assert abs(limit) <= abs(limit - shallow)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the 2D main run's error estimate understates its true error 1.6-fold "
+    "here (both Gauss rules agree on a feature neither resolves): limit -1.304e-5 "
+    "against a bar of 1.028e-5; the contour-form limit (ROADMAP item 2) covers it",
+)
+def test_generic_equilibrium_limit_within_its_bar(generic_n5):
+    config = generic_n5
+    report = correlation_limit(
+        config, default_epsilon_list(config), default_quadrature_spec(config)
+    )
+    assert abs(report.extrapolated_limit) <= report.extrapolation_error
 
 
 def test_shared_error_counted_once():

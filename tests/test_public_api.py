@@ -4,6 +4,7 @@ import re
 from pathlib import Path
 
 import vortexcorr
+import vortexcorr.quadrature
 import vortexcorr.rational
 
 PUBLIC_NAMES = [
@@ -46,6 +47,11 @@ def test_public_surface_is_pinned():
     for name in vortexcorr.__all__:
         assert hasattr(vortexcorr, name), name
     assert vortexcorr.rational.__all__ == ["integrand_values"]
+    assert vortexcorr.quadrature.__all__ == [
+        "QuadratureSpec",
+        "QuadratureResult",
+        "integrate_excised_disk",
+    ]
 
 
 def test_package_version_matches_pyproject():
