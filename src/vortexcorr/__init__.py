@@ -36,14 +36,13 @@ from .correlation import (
     MoebiusParams,
     correlation_A_eps,
     correlation_limit,
-    cross_pair_truncated,
     default_epsilon_list,
     default_quadrature_spec,
     moebius_params,
     pair_integral,
 )
 
-__version__ = "0.17.0"
+__version__ = "0.18.0"
 
 __all__ = [
     "__version__",
@@ -72,7 +71,6 @@ __all__ = [
     "MoebiusParams",
     "correlation_A_eps",
     "correlation_limit",
-    "cross_pair_truncated",
     "default_epsilon_list",
     "default_quadrature_spec",
     "moebius_params",

@@ -180,11 +180,8 @@ def _plane_point(text: str, flag: str) -> complex:
 
 def _quadrature_spec(config: VortexConfiguration, params: dict, **fields) -> QuadratureSpec:
     """The library's default spec for ``config`` with the command's overrides."""
-    spec = default_quadrature_spec(config)
-    radius = params.get("radius")
     return replace(
-        spec,
-        cutoff_radius=spec.cutoff_radius if radius is None else radius,
+        default_quadrature_spec(config),
         target_abs_error=params["target_error"],
         max_cells=params["max_cells"],
         **fields,
@@ -358,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("correlation", help="A_eps estimates and the extrapolated limit")
     p.add_argument("config_path")
     p.add_argument("--eps-list", help="comma-separated, strictly decreasing excision radii")
-    p.add_argument("--radius", type=_positive_float, help="truncation radius R")
     p.add_argument(
         "--target-error", type=_positive_float, default=QuadratureSpec.target_abs_error
     )
@@ -371,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", required=True, help="second point as 'x,y'")
     p.add_argument("--eps", type=_positive_float, required=True)
     p.add_argument("--target-error", type=_positive_float, default=1e-6)
-    p.add_argument("--radius", type=_positive_float)
     p.add_argument("--max-cells", type=_positive_int, default=QuadratureSpec.max_cells)
     with_manifest(p)
 

@@ -32,12 +32,12 @@ the lengths in the message when the holes do not fit: quadrature alone
 rejects an ``eps`` that leaves a hole no room or a hole outside ``B_R``.
 
 The pair kernel ``1/(conj(z-p)^2 (z-q)^2)`` integrates to zero over the
-plane minus eps-disks at ``p`` and ``q`` (the two-disk identity), which one
-framed routine checks by quadrature: :func:`pair_integral` for a lone pair,
-:func:`cross_pair_truncated` weighted by ``d_j^2 d_k^2`` for one ordered
-pair of a configuration.  The kernel's exact tail beyond ``R`` also builds
-that of ``A_eps``.  :func:`moebius_params` exposes the fractional-linear
-map that turns the two-disk geometry into a round annulus.
+plane minus eps-disks at ``p`` and ``q`` (the two-disk identity), which
+:func:`pair_integral` checks by quadrature in the pair's frame.  The
+kernel's exact tail beyond ``R`` also builds that of ``A_eps``, so ``R``
+moves no result beyond the quadrature's error; by default it is 4 in the
+frame.  :func:`moebius_params` exposes the fractional-linear map that
+turns the two-disk geometry into a round annulus.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ __all__ = [
     "moebius_params",
     "pair_integral",
     "correlation_A_eps",
-    "cross_pair_truncated",
     "CorrelationReport",
     "correlation_limit",
     "default_quadrature_spec",
@@ -214,6 +213,11 @@ def _contour_A_eps(frame: VortexConfiguration, epsilon: float) -> tuple[float, f
     return value, trapezoid, (n + nodes + 8) * 2.0**-53 * math.pi * scale
 
 
+def _binade(config: VortexConfiguration) -> int:
+    """``k`` with the diameter in ``[2^(k-1), 2^k)``; 0 for a single vortex."""
+    return math.frexp(config.diameter)[1]
+
+
 def _frame(
     config: VortexConfiguration, spec: QuadratureSpec
 ) -> tuple[VortexConfiguration, QuadratureSpec, float]:
@@ -225,7 +229,7 @@ def _frame(
     by ``4^-k``, exactly; ``t = 0`` when the centroid lies within ``2^(k-1)``
     of the origin, so such configurations keep their bits.
     """
-    k = math.frexp(config.diameter)[1]
+    k = _binade(config)
     shrink = math.ldexp(1.0, -k)
     target = spec.target_abs_error / shrink / shrink
     if not target < math.inf:
@@ -259,34 +263,6 @@ def _integrate(
         raise _Misfit(template, *(x / shrink for x in lengths)) from None
 
 
-def _pair(
-    config: VortexConfiguration, j: int, k: int, epsilon: float, spec: QuadratureSpec
-) -> tuple[complex, float, float, int, bool]:
-    """The two-disk integral of ``d_j^2 d_k^2 / (conj(z-a_j)^2 (z-a_k)^2)``.
-
-    Integrates over ``B_R`` minus the two ``epsilon``-disks in the frame of
-    ``config`` and adds the exact tail; an ``epsilon`` that leaves the disks
-    no room fails in quadrature, restated in the caller's units.  Returns
-    the fields of a :class:`QuadratureResult` in the caller's units, with
-    the corrected complex estimate as the value and the real part of the
-    tail as the tail correction.
-    """
-    frame, spec, shrink = _frame(config, replace(spec, epsilon=epsilon))
-    p, q = frame.positions[j], frame.positions[k]
-    weight = (config.circulations[j] * config.circulations[k]) ** 2
-
-    def f(zs: np.ndarray) -> np.ndarray:
-        # the square of the reciprocal: the fourth-degree denominator itself
-        # overflows at |z| near 1e77
-        g = 1.0 / (np.conj(zs - p) * (zs - q))
-        return weight * (g * g)
-
-    raw, err, cells, converged = _integrate(f, [p, q], spec, shrink)
-    tail = weight * _pair_tail(p, q, spec.cutoff_radius)
-    area = shrink * shrink
-    return (raw + tail) * area, err * area, tail.real * area, cells, converged
-
-
 def pair_integral(
     p: complex, q: complex, epsilon: float, spec: QuadratureSpec
 ) -> QuadratureResult:
@@ -296,15 +272,29 @@ def pair_integral(
     ``spec.cutoff_radius`` about the pair midpoint minus the two
     ``epsilon``-disks and adds the exact tail ``pi R^2 / (R^2 - conj(p) q)^2``
     (about the midpoint), so the error estimate is the adaptive one alone.
-    Like :func:`cross_pair_truncated` it runs in the pair's power-of-two
-    frame, so a pair of any size and position is integrated like a unit one.
-    The plane integral is zero, so the value -- the modulus of the corrected
-    complex estimate -- should not exceed the error estimate.
+    It runs in the pair's power-of-two frame, so a pair of any size and
+    position is integrated like a unit one; an ``epsilon`` that leaves the
+    disks no room fails in quadrature, restated in the caller's units.  The
+    plane integral is zero, so the value -- the modulus of the corrected
+    complex estimate -- should not exceed the error estimate.  Weighted by
+    ``d_j^2 d_k^2`` it is the cross term ``conj(T_j) T_k`` of ``A_eps``.
     """
     mid = 0.5 * (complex(p) + complex(q))
     pair = VortexConfiguration.from_pairs([(p - mid, 1.0), (q - mid, 1.0)])
-    estimate, *rest = _pair(pair, 0, 1, epsilon, spec)
-    return QuadratureResult(abs(estimate), *rest)
+    frame, spec, shrink = _frame(pair, replace(spec, epsilon=epsilon))
+    a, b = frame.positions
+
+    def f(zs: np.ndarray) -> np.ndarray:
+        # the square of the reciprocal: the fourth-degree denominator itself
+        # overflows at |z| near 1e77
+        g = 1.0 / (np.conj(zs - a) * (zs - b))
+        return g * g
+
+    raw, err, cells, converged = _integrate(f, [a, b], spec, shrink)
+    tail = _pair_tail(a, b, spec.cutoff_radius)
+    area = shrink * shrink
+    estimate = (raw + tail) * area
+    return QuadratureResult(abs(estimate), err * area, tail.real * area, cells, converged)
 
 
 def correlation_A_eps(
@@ -338,26 +328,6 @@ def correlation_A_eps(
         cells_used=cells,
         converged=converged,
     )
-
-
-def cross_pair_truncated(
-    config: VortexConfiguration, j: int, k: int, epsilon: float, spec: QuadratureSpec
-) -> QuadratureResult:
-    """Truncated integral of ``conj(T_j) T_k`` with only the (j, k) disks excised.
-
-    By the two-disk identity (scaled by ``d_j^2 d_k^2``) the plane integral
-    vanishes, so after the tail correction the value should be zero within
-    the error estimate.  The value is the real part of the complex
-    estimate: the ordered-pair sum over (j, k) and (k, j) is real, and the
-    imaginary residue is folded into the error estimate.
-    """
-    n = len(config)
-    if not (0 <= j < n and 0 <= k < n):
-        raise IndexError(f"vortex indices ({j}, {k}) out of range for {n} vortices")
-    if j == k:
-        raise ValueError("the pair indices must differ")
-    estimate, error, *rest = _pair(config, j, k, epsilon, spec)
-    return QuadratureResult(estimate.real, error + abs(estimate.imag), *rest)
 
 
 @dataclass(frozen=True)
@@ -399,6 +369,23 @@ def _lagrange_at_zero(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, 
         total += w * yi
         amplification += abs(w)
     return total, amplification
+
+
+def _extrapolate(
+    epsilons: Sequence[float], values: Sequence[float], alpha: float
+) -> tuple[float, float, float]:
+    """Richardson fit of ``values - alpha log eps`` in ``x = eps^2`` to ``x = 0``.
+
+    Fits through the last (up to three) points and returns ``(limit,
+    amplification, spread)``: the sum of absolute Lagrange weights, and the
+    model spread, the change in the limit when the first point is dropped.
+    """
+    use = min(3, len(epsilons))
+    xs = [e * e for e in epsilons[-use:]]
+    ys = [v - alpha * math.log(e) for v, e in zip(values[-use:], epsilons[-use:])]
+    limit, amplification = _lagrange_at_zero(xs, ys)
+    shallow, _ = _lagrange_at_zero(xs[1:], ys[1:])
+    return limit, amplification, abs(limit - shallow)
 
 
 def correlation_limit(
@@ -456,24 +443,20 @@ def correlation_limit(
     # alpha in the caller's units, from the frame's forces: those of a tiny
     # configuration would overflow when squared
     alpha = -8.0 * math.pi * math.fsum(abs(f) ** 2 for f in forces(frame)) * area
-    use = min(3, len(eps))
-    xs = [e * e for e in eps[-use:]]
-    ys = [est.value - alpha * math.log(e) for est, e in zip(estimates[-use:], eps[-use:])]
-    limit, amplification = _lagrange_at_zero(xs, ys)
-    shallow, _ = _lagrange_at_zero(xs[1:], ys[1:])
-    extrap_error = (
-        main.abs_error_estimate + amplification * max(noises[-use:]) + abs(limit - shallow)
-    )
+    limit, amplification, spread = _extrapolate(eps, [est.value for est in estimates], alpha)
+    # the ring noise over the fit's points, the last three at most
+    extrap_error = main.abs_error_estimate + amplification * max(noises[-3:]) + spread
     return CorrelationReport(tuple(eps), estimates, limit, extrap_error)
 
 
 def default_quadrature_spec(config: VortexConfiguration) -> QuadratureSpec:
-    """Defaults: ``eps = 0.1 * min separation``, ``R = 50 * (1 + diameter)``,
+    """Defaults: ``eps = 0.1 * min separation``, ``R = 4 * 2^k`` with ``2^k``
+    the binade of the diameter (so ``R`` is 4 in the frame of :func:`_frame`),
     and :class:`QuadratureSpec`'s own target and cell budget."""
     sep = config.min_separation
     return QuadratureSpec(
         epsilon=0.1 * sep if math.isfinite(sep) else 0.1,
-        cutoff_radius=50.0 * (1.0 + config.diameter),
+        cutoff_radius=math.ldexp(4.0, _binade(config)),
     )
 
 

@@ -112,10 +112,8 @@ def _next_chain_polynomial(
             continue  # free coefficient, carried by tau below
         s = i + p - 1
         acc = 0j
-        for i2 in range(i + 1, min(m, s + 1) + 1):
-            ridx = s - i2 + 1
-            if 0 <= ridx <= p:
-                acc += q[i2] * (2 * i2 - s - 1) * c[ridx]
+        for i2 in range(i + 1, min(m, i + p) + 1):
+            acc += q[i2] * (2 * i2 - s - 1) * c[i + p - i2]
         q[i] = (rhs[s] - acc) / ((i - p) * c[p])
 
     q[: p + 1] += complex(tau) * c

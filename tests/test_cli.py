@@ -170,8 +170,6 @@ def test_correlation_collinear(capsys, collinear_file):
         collinear_file,
         "--eps-list",
         "0.2,0.1,0.05",
-        "--radius",
-        "25",
         "--target-error",
         "1e-4",
     )
@@ -191,8 +189,6 @@ def test_correlation_csv_format(capsys, collinear_file):
         "csv",
         "--eps-list",
         "0.2,0.1",
-        "--radius",
-        "20",
         "--target-error",
         "1e-3",
     )
@@ -209,8 +205,6 @@ def test_correlation_budget_exhaustion_exit_4(capsys, collinear_file):
         collinear_file,
         "--eps-list",
         "0.2,0.1",
-        "--radius",
-        "20",
         "--target-error",
         "1e-9",
         "--max-cells",
@@ -471,8 +465,6 @@ def test_manifest_replay_bit_exact(capsys, collinear_file, tmp_path):
         collinear_file,
         "--eps-list",
         "0.2,0.1",
-        "--radius",
-        "20",
         "--target-error",
         "1e-3",
         "--manifest",
@@ -511,8 +503,6 @@ def test_replay_across_versions_says_so(capsys, collinear_file, tmp_path):
         collinear_file,
         "--eps-list",
         "0.2,0.1",
-        "--radius",
-        "20",
         "--target-error",
         "1e-3",
         "--manifest",
@@ -583,8 +573,6 @@ def test_repeated_cli_runs_are_bit_identical(capsys, collinear_file):
         collinear_file,
         "--eps-list",
         "0.2,0.1",
-        "--radius",
-        "20",
         "--target-error",
         "1e-3",
     )
@@ -660,22 +648,11 @@ CONTRACT_CASES = {
     "correlation-scale-1e100": ("correlation", _moved(1e100), 0),
     "correlation-scale-1e104": ("correlation", _moved(1e104), 0),
     "correlation-scale-1e160": ("correlation", _moved(1e160), 2),
-    "correlation-radius-1e100": ("correlation", COLLINEAR_ROWS, 0, ["--radius", "1e100"]),
-    "correlation-radius-1e110": ("correlation", COLLINEAR_ROWS, 2, ["--radius", "1e110"]),
-    "correlation-radius-1e200": ("correlation", COLLINEAR_ROWS, 2, ["--radius", "1e200"]),
-    # vortices at -1 and 1 lie outside B_R
-    "correlation-radius-0.5": ("correlation", COLLINEAR_ROWS, 2, ["--radius", "0.5"]),
     "pair-integral-scale-1e120": (
         "pair-integral",
         None,
         0,
         ["--p", "0,0", "--q", "1e120,0", "--eps", "1e119"],
-    ),
-    "pair-integral-radius-1e110": (
-        "pair-integral",
-        None,
-        2,
-        ["--p", "0,0", "--q", "1,0", "--eps", "0.1", "--radius", "1e110"],
     ),
     # coincident vortices are an invariant violation, not a usage error
     "pair-integral-coincident": (
@@ -701,12 +678,6 @@ CONTRACT_CASES = {
         2,
     ),
     "replay-energy-no-parameters": ("energy", None, 2),
-    # a radius of 0 is a radius, not a request for the default
-    "replay-correlation-zero-radius": (
-        "correlation",
-        {"radius": 0, "target_error": 1e-5, "max_cells": 2_000_000},
-        2,
-    ),
     "replay-command-is-a-list": (["energy"], {}, 2),
     "replay-command-is-an-object": ({"name": "energy"}, {}, 2),
     # the exit-code table on the replay path
@@ -765,15 +736,30 @@ def test_exit_code_contract(capsys, tmp_path, case):
         assert "vortices 0 and 1 coincide" in err
 
 
+def test_radius_is_not_an_option(capsys, collinear_file):
+    # R is derived from the diameter; the exact tail makes any R give the
+    # same limit, so the command line offers none
+    for argv in (
+        ["correlation", collinear_file, "--radius", "50"],
+        ["pair-integral", "--p", "0,0", "--q", "1,0", "--eps", "0.1", "--radius", "50"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "unrecognized arguments: --radius 50" in err
+        assert out == ""
+
+
 @pytest.mark.parametrize("radius", ["0.5", "1.02"])
 def test_radius_errors_name_the_callers_lengths(capsys, tmp_path, radius):
     # the quadrature checks the holes in the integration frame, a quarter of
-    # the collinear triple's units; its message restates the user's lengths
+    # the collinear triple's units (room 0.25, R 4 there); its message
+    # restates the user's excision radius and lengths
     config = write_config(tmp_path / "collinear.json", COLLINEAR_ROWS)
-    code, _, err = run_cli(capsys, "correlation", config, "--radius", radius)
+    code, _, err = run_cli(capsys, "correlation", config, "--eps-list", f"{radius},0.4")
     assert code == 2
-    assert f"cutoff radius {radius}" in err
-    assert "radius 0.2" in err
+    assert f"excision radius {radius} leaves no room" in err
+    assert "room 1.0," in err
+    assert "cutoff radius 16.0" in err
     assert "integration frame" not in err
 
 

@@ -16,7 +16,6 @@ from vortexcorr import (
     config_from_adler_moser,
     correlation_A_eps,
     correlation_limit,
-    cross_pair_truncated,
     default_epsilon_list,
     default_quadrature_spec,
     forces,
@@ -27,9 +26,9 @@ from vortexcorr import (
 )
 from vortexcorr.correlation import (
     _contour_A_eps,
+    _extrapolate,
     _far_field_tail,
     _frame,
-    _lagrange_at_zero,
     _pair_tail,
 )
 from vortexcorr.quadrature import integrate_excised_disk
@@ -117,6 +116,16 @@ def test_pair_integral_preconditions():
         pair_integral(0.0, 1.0, 0.6, spec)
 
 
+def test_pair_integral_reports_the_callers_units():
+    # a pair 1000 apart runs in a frame 1024 times smaller; the message
+    # restates the caller's lengths
+    spec = QuadratureSpec(600.0, 50_000.0)
+    with pytest.raises(ValueError, match="leaves no room for the cutoff") as caught:
+        pair_integral(0.0, 1000.0, 600.0, spec)
+    assert "600" in str(caught.value) and "1000" in str(caught.value)
+    assert "integration frame" not in str(caught.value)
+
+
 def test_pair_tail_is_exact_on_an_annulus():
     # the difference of two tails is the pair kernel's integral over
     # 3 < |z| < 6; a truncated tail series misses it by 6e-4 or more.  The
@@ -200,6 +209,19 @@ def test_a_eps_at_a_radius_below_the_diameter():
         correlation_A_eps(collinear_triple(), QuadratureSpec(0.1, 0.9))
 
 
+def test_radius_far_beyond_the_configuration():
+    # the background mesh doubles its rings out to R, so a huge R still
+    # resolves the near field; beyond 2^340 in the frame the polar cell
+    # weights would overflow, and the message gives the caller's radius
+    config = collinear_triple()
+    spec = replace(default_quadrature_spec(config), cutoff_radius=1e100)
+    report = correlation_limit(config, default_epsilon_list(config), spec)
+    assert abs(report.extrapolated_limit) <= report.extrapolation_error
+    with pytest.raises(ValueError, match="out of floating-point range") as caught:
+        correlation_A_eps(config, replace(spec, cutoff_radius=1e110))
+    assert "cutoff radius 1e+110" in str(caught.value)
+
+
 def test_two_radius_tail_consistency(cube_roots):
     """The analytic far-field correction must match the mass the quadrature
     actually finds between two truncation radii."""
@@ -249,7 +271,6 @@ def test_translation_and_binary_scaling_keep_bits():
     eps = default_epsilon_list(base)
     spec = default_quadrature_spec(base)
     report = correlation_limit(base, eps, spec)
-    pair = cross_pair_truncated(base, 0, 1, 0.1, spec)
 
     # dyadic coordinates, so that the translated midpoint is exact too
     p, q, pair_spec = 0.25j, 1.0 + 0.5j, QuadratureSpec(0.1, 20.0, 1e-4)
@@ -258,7 +279,6 @@ def test_translation_and_binary_scaling_keep_bits():
     shift = 1000.0 - 3000.0j
     moved = transform(base, Similarity(translation=shift))
     assert correlation_limit(moved, eps, spec) == report
-    assert cross_pair_truncated(moved, 0, 1, 0.1, spec) == pair
     assert pair_integral(p + shift, q + shift, 0.1, pair_spec) == alone
 
     # the separation floor scales with the diameter, so a tiny copy is valid
@@ -272,8 +292,6 @@ def test_translation_and_binary_scaling_keep_bits():
         assert scaled_report.extrapolation_error == report.extrapolation_error / (s * s)
         for est, unit in zip(scaled_report.estimates, report.estimates):
             _assert_scaled_bits(est, unit, s)
-        scaled_pair = cross_pair_truncated(scaled, 0, 1, 0.1 * s, scaled_spec)
-        _assert_scaled_bits(scaled_pair, pair, s)
         scaled_pair_spec = QuadratureSpec(0.1 * s, 20.0 * s, 1e-4 / (s * s))
         scaled_alone = pair_integral(p * s, q * s, 0.1 * s, scaled_pair_spec)
         _assert_scaled_bits(scaled_alone, alone, s)
@@ -337,57 +355,40 @@ def test_a_eps_error_tracks_target():
 # -------------------------------------------------------------- cross pairs
 
 
-def test_cross_pair_rejects_equal_indices():
-    spec = QuadratureSpec(0.1, 50.0)
-    with pytest.raises(ValueError):
-        cross_pair_truncated(collinear_triple(), 1, 1, 0.1, spec)
-    with pytest.raises(IndexError):
-        cross_pair_truncated(collinear_triple(), 0, 7, 0.1, spec)
-
-
-def test_cross_pair_reports_the_callers_units():
-    # the collinear triple scaled by 1000: vortices 0 and 1 are 1000 apart
-    config = transform(collinear_triple(), Similarity(scale=1000.0))
-    spec = QuadratureSpec(600.0, 50_000.0)
-    with pytest.raises(ValueError, match="leaves no room for the cutoff") as caught:
-        cross_pair_truncated(config, 0, 1, 600.0, spec)
-    assert "600" in str(caught.value) and "1000" in str(caught.value)
-
-
-def test_cross_pair_vanishes():
-    spec = QuadratureSpec(0.1, 50.0, 1e-5)
-    result = cross_pair_truncated(collinear_triple(), 0, 2, 0.1, spec)
-    assert result.converged
-    assert abs(result.value) <= result.abs_error_estimate
-
-
 def test_cross_pair_decomposition_matches_a_eps():
-    """Ordered-pair sum of two-disk integrals equals A_eps once the disks
-    excised around third vortices are added back (the cross-term decomposition identity)."""
+    """A_eps is the ordered-pair sum of the two-disk integrals weighted by
+    d_j^2 d_k^2, once the disks excised around third vortices are taken out
+    (the cross-term decomposition identity).  Every two-disk integral
+    vanishes, so A_eps plus those disks lies within the pair values and the
+    errors."""
     config = collinear_triple()
     eps = 0.1
     spec = QuadratureSpec(eps, 50.0, 1e-5)
     pairs = [(j, k) for j in range(3) for k in range(3) if j != k]
-    cross = {jk: cross_pair_truncated(config, jk[0], jk[1], eps, spec) for jk in pairs}
-    total = correlation_A_eps(config, spec)
-
     pos = config.positions
     d = config.circulations
+    weight = {(j, k): (d[j] * d[k]) ** 2 for j, k in pairs}
+    cross = {(j, k): pair_integral(pos[j], pos[k], eps, spec) for j, k in pairs}
+    total = correlation_A_eps(config, spec)
+
     # the third vortex's disk, added back in closed form
     corrections = [
-        ((d[j] * d[k]) ** 2 * pair_kernel_over_disk(pos[j], pos[k], pos[l], eps)).real
+        (weight[j, k] * pair_kernel_over_disk(pos[j], pos[k], pos[l], eps)).real
         for (j, k) in pairs
         for l in range(3)
         if l not in (j, k)
     ]
 
-    sum_cross = math.fsum(cross[jk].value for jk in pairs)
-    lhs = sum_cross - math.fsum(corrections)
-    budget = math.fsum(cross[jk].abs_error_estimate for jk in pairs) + total.abs_error_estimate
-    assert abs(lhs - total.value) <= budget
+    # pair_integral reports the modulus |I_jk|, which bounds the real part
+    # that enters A_eps
+    budget = (
+        math.fsum(weight[jk] * (cross[jk].value + cross[jk].abs_error_estimate) for jk in pairs)
+        + total.abs_error_estimate
+    )
+    assert abs(total.value + math.fsum(corrections)) <= budget
     # the individual two-disk integrals all vanish, so their sum is tiny
     # even though A_eps itself is only O(eps^2)
-    assert abs(sum_cross) < 1e-4
+    assert math.fsum(weight[jk] * cross[jk].value for jk in pairs) < 1e-4
     assert abs(total.value) > 0.01
 
 
@@ -559,8 +560,10 @@ def test_error_bars_cover_the_exact_series(name):
 
 
 # main-run cells at the default spec under one-cell-at-a-time greedy
-# refinement (version 0.15.0); rounds of eight splits may overshoot the
-# target by a few cells, not by more than 2%
+# refinement (version 0.15.0, when the default R was 50 (1 + diameter));
+# rounds of eight splits may overshoot the target by a few cells, not by
+# more than 2%.  They are read from correlation_A_eps, so that the test
+# keeps covering the 2D engine whatever engine correlation_limit uses
 GREEDY_CELLS = {
     "collinear": 392,
     "cube_roots": 624,
@@ -573,9 +576,11 @@ GREEDY_CELLS = {
 def test_batched_refinement_keeps_the_cell_count(name):
     config = SERIES_CASES[name][0]()
     spec = default_quadrature_spec(config)
-    report = correlation_limit(config, default_epsilon_list(config), spec)
-    assert report.estimates[0].converged
-    assert report.estimates[0].cells_used <= 1.02 * GREEDY_CELLS[name]
+    eps = default_epsilon_list(config)
+    main = correlation_A_eps(config, replace(spec, epsilon=eps[0]))
+    assert main.converged
+    assert main.cells_used <= 1.02 * GREEDY_CELLS[name]
+    report = correlation_limit(config, eps, spec)
     assert abs(report.extrapolated_limit) <= report.extrapolation_error
 
 
@@ -705,14 +710,9 @@ def test_generic_equilibrium_has_zero_finite_part(generic_n5):
     frame, _, shrink = _frame(config, default_quadrature_spec(config))
     eps = default_epsilon_list(config)
     alpha = -8.0 * math.pi * math.fsum(abs(f) ** 2 for f in forces(config))
-    xs = [e * e for e in eps]
-    ys = [
-        _contour_A_eps(frame, e * shrink)[0] * shrink * shrink - alpha * math.log(e)
-        for e in eps
-    ]
-    limit, _ = _lagrange_at_zero(xs, ys)
-    shallow, _ = _lagrange_at_zero(xs[1:], ys[1:])
-    assert abs(limit) <= abs(limit - shallow)
+    values = [_contour_A_eps(frame, e * shrink)[0] * shrink * shrink for e in eps]
+    limit, _, spread = _extrapolate(eps, values, alpha)
+    assert abs(limit) <= spread
 
 
 @pytest.mark.xfail(
@@ -751,7 +751,23 @@ def test_report_invariants():
 def test_defaults_helpers():
     config = collinear_triple()
     spec = default_quadrature_spec(config)
-    assert spec.cutoff_radius == pytest.approx(150.0)
+    assert spec.cutoff_radius == 16.0
     assert spec.epsilon == pytest.approx(0.1)
     eps = default_epsilon_list(config)
     assert eps == pytest.approx([0.2, 0.1, 0.05])
+
+
+def test_default_radius_is_four_in_the_frame():
+    # R = 4 * 2^k, 2^k the binade of the diameter (k = 0 for one vortex)
+    configs = [
+        VortexConfiguration.from_pairs([(1e6 + 3j, 2.0)]),
+        VortexConfiguration.from_pairs([(0j, 1.0), (1.0, 1.0)]),
+        collinear_triple(),
+        config_from_adler_moser(adler_moser_chain(3, [1.0, 1.0])),
+        random_configuration(np.random.default_rng(8), 7),
+    ]
+    configs += [transform(collinear_triple(), Similarity(scale=s)) for s in (1e-12, 3e100)]
+    for config in configs:
+        spec = default_quadrature_spec(config)
+        assert spec.cutoff_radius == math.ldexp(4.0, math.frexp(config.diameter)[1])
+        assert _frame(config, spec)[1].cutoff_radius == 4.0

@@ -27,7 +27,6 @@ PUBLIC_NAMES = [
     "config_from_adler_moser",
     "correlation_A_eps",
     "correlation_limit",
-    "cross_pair_truncated",
     "default_epsilon_list",
     "default_quadrature_spec",
     "energy",

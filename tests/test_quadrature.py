@@ -4,8 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from vortexcorr.correlation import cross_pair_truncated, pair_integral
-from vortexcorr.equilibria import collinear_triple
+from vortexcorr.correlation import pair_integral
 from vortexcorr.quadrature import (
     QuadratureResult,
     QuadratureSpec,
@@ -262,28 +261,6 @@ def test_bit_exact_golden_values():
         "0x1.66af01aff0000p-23",
         "0x1.f743f0c042f6dp-17",
         "0x1.01024c4334cafp-7",
-        176,
-        True,
-    )
-
-    # an off-centre pair with weight (1 * -0.5)^2 = 0.25
-    res = cross_pair_truncated(
-        collinear_triple(),
-        0,
-        1,
-        0.1,
-        QuadratureSpec(epsilon=0.1, cutoff_radius=20.0, target_abs_error=1e-4),
-    )
-    assert (
-        res.value.hex(),
-        res.abs_error_estimate.hex(),
-        res.tail_correction.hex(),
-        res.cells_used,
-        res.converged,
-    ) == (
-        "0x1.0b9c65f217800p-20",
-        "0x1.43a6c3de35d5fp-14",
-        "0x1.015bf9217271ap-9",
         176,
         True,
     )
