@@ -23,10 +23,18 @@ polynomial has modest derivatives and only C5 kinks at the plateau and
 support circles, and reaches the same error target with about half the
 cells (Adler-Moser n=3 at the default spec: 10,116 -> 4,524).
 
-Callers name the centres, ``eps`` and ``R``; each hole's plateau and
-support follow here from its room, the distance to the nearest other
-centre or to the truncation circle (counted at ``2 (R - |c|)``).  Supports
-are at most ``0.495 room``, so they are disjoint and lie inside ``B_R``.
+Callers name the centres, ``eps`` and ``R``; each hole's cutoff follows
+here from its room, the distance to the nearest other centre or to the
+truncation circle (counted at ``2 (R - |c|)``).  The plateau is ``1.05
+eps`` and the support ``0.49 room`` (``0.495 room`` when eps crowds it),
+the widest ramp that keeps the supports disjoint and inside ``B_R``.
+
+Starting cells are eight angular panels per ring.  A patch's rings double
+from ``eps`` to its support; the background's break at every ``|c|`` and
+``|c| +- support`` and double beyond the outermost support.  A background
+panel that meets a hole's support is bisected in angle down to the hole's
+angular radius ``asin(support / |c|)``, so both Gauss rules see its dip;
+45-degree panels let a small hole slip between their nodes unseen.
 
 Every cell is a rectangle in (r, theta) carrying the polar Jacobian.
 Cells are estimated with two independent Gauss-Legendre product rules
@@ -45,12 +53,10 @@ region, in region order and then pop order, so one call takes at most 32
 cells (5,440 nodes).  Every node and per-cell sum is formed exactly as for
 a single cell, so batching changes no cell's bits.  It changes which cells
 are split: a round splits its eight cells before it sees their children,
-so it can split a cell that one split at a time would have left alone.
-Adler-Moser n=3 at the default spec takes 4,528 cells where one split at a
-time took 4,524; an integrand whose error sits in one deep chain of cells,
-such as a pole inside ``B_R``, takes more (640 -> 808 in the golden-value
-test).  No round splits a cell that would take the cells past the budget,
-so an exhausted run stops within three cells of it.  The
+so it can split a cell that one split at a time would have left alone,
+most where the error sits in one deep chain of cells, such as a pole
+inside ``B_R``.  No round splits a cell that would take the cells past the
+budget, so an exhausted run stops within three cells of it.  The
 background weight loops over the holes with work and temporaries linear in
 the nodes: the supports are disjoint, so each node has at most one nonzero
 cutoff, and ``1 - cutoff`` of that hole equals the sequential ``1 - sum of
@@ -59,6 +65,7 @@ cutoffs``, whose other terms are exact zeros.
 
 from __future__ import annotations
 
+import cmath
 import heapq
 import itertools
 import math
@@ -242,15 +249,35 @@ def _geometric_edges(inner: float, outer: float) -> list[float]:
     return edges
 
 
-def _polar_cells(index: int, radial_edges: Sequence[float]) -> list[tuple[int, _Cell]]:
-    """Starting cells of region ``index``: every radial interval split into
-    eight equal angular panels, ordered ring by ring."""
+def _polar_cells(
+    index: int, radial_edges: Sequence[float], boxes: Sequence[tuple[float, ...]] = ()
+) -> list[tuple[int, _Cell]]:
+    """Starting cells of region ``index``, ordered ring by ring: every radial
+    interval split into eight equal angular panels, each aligned to ``boxes``."""
     dt = 0.25 * math.pi
     return [
-        (index, (a, b, i * dt, (i + 1) * dt))
+        (index, piece)
         for a, b in zip(radial_edges[:-1], radial_edges[1:])
         for i in range(8)
+        for piece in _aligned((a, b, i * dt, (i + 1) * dt), boxes)
     ]
+
+
+def _aligned(cell: _Cell, boxes: Sequence[tuple[float, ...]]) -> list[_Cell]:
+    """``cell`` bisected in angle, pieces in angular order, until no piece that
+    meets a hole's polar box is wider than the hole's angular radius; a box is
+    ``(|c|, arg c, support, asin(support / |c|))``."""
+    r0, r1, t0, t1 = cell
+    tm = 0.5 * (t0 + t1)
+    for modulus, phase, support, half in boxes:
+        if (
+            half < t1 - t0
+            and modulus - support < r1
+            and r0 < modulus + support
+            and abs(math.remainder(phase - tm, 2.0 * math.pi)) < 0.5 * (t1 - t0) + half
+        ):
+            return _aligned((r0, r1, t0, tm), boxes) + _aligned((r0, r1, tm, t1), boxes)
+    return [cell]
 
 
 def _background_cells(
@@ -273,7 +300,10 @@ def _background_cells(
         if r - cleaned[-1] > 1e-12 * r:
             cleaned.append(r)
     cleaned[-1] = cutoff_radius
-    return _polar_cells(index, cleaned)
+    # a hole whose support reaches the origin splits nothing
+    boxes = [(abs(p.center), cmath.phase(p.center), p.support) for p in patches]
+    boxes = [(c, phase, s, math.asin(s / c)) for c, phase, s in boxes if s < c]
+    return _polar_cells(index, cleaned, boxes)
 
 
 def _add(partials: list[float], x: float) -> None:
@@ -398,10 +428,10 @@ def integrate_excised_disk(
     room = np.hypot(diff.real, diff.imag)
     np.fill_diagonal(room, 2.0 * (cutoff_radius - moduli))
     room = room.min(axis=1, initial=math.inf)
-    plateaus = np.maximum(1.05 * epsilon, 0.25 * room)
-    supports = 0.45 * room
+    plateaus = np.full(room.shape, 1.05 * epsilon)
+    supports = 0.49 * room
     crowded = plateaus >= 0.98 * supports
-    supports[crowded] = np.minimum(0.495 * room, 1.35 * plateaus)[crowded]
+    supports[crowded] = 0.495 * room[crowded]
     tight = np.flatnonzero(plateaus >= 0.98 * supports)
     if len(tight):
         i = tight[0]
@@ -413,7 +443,7 @@ def integrate_excised_disk(
     patches = [_Region(c, p, s) for c, p, s in zip(*(a.tolist() for a in holes))]
     cells: list[tuple[int, _Cell]] = []
     for idx, p in enumerate(patches):
-        cells.extend(_polar_cells(idx, _geometric_edges(epsilon, p.plateau) + [p.support]))
+        cells.extend(_polar_cells(idx, _geometric_edges(epsilon, p.support)))
     cells.extend(_background_cells(len(patches), patches, cutoff_radius))
     regions = patches + [_Region(center=0j, holes=holes)]
     return _adaptive(f, regions, cells, target_abs_error, max_cells)

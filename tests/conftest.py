@@ -1,7 +1,22 @@
+import json
+
 import numpy as np
 import pytest
 
 from vortexcorr import VortexConfiguration
+
+
+# an equilibrium with generic real circulations (diameter 14.2), from a
+# Gauss-Newton solve of v_j = sum_{k != j} d_k/(a_j - a_k) = 0 in positions
+# and circulations together; kept exactly as found
+GENERIC_N5 = json.loads(
+    '{"vortices": ['
+    '{"x": 7.011786438118802, "y": -5.579557592950711, "d": 1.9181449643497057}, '
+    '{"x": 1.5947710165322673, "y": 2.313332075971045, "d": -0.26272407055998614}, '
+    '{"x": -1.2496325214903738, "y": 4.244544261312464, "d": 0.6471437454534819}, '
+    '{"x": -6.428002150573331, "y": -0.9317608349728624, "d": 0.6112243327058589}, '
+    '{"x": -2.2483475710131136, "y": -0.7505270345756404, "d": -0.677720994449256}]}'
+)
 
 
 def random_configuration(rng, n, box=2.5, min_sep=0.4) -> VortexConfiguration:

@@ -20,6 +20,7 @@ from vortexcorr import (
 )
 from vortexcorr.cli import main
 
+from conftest import GENERIC_N5
 from oracles import finite_part
 
 
@@ -152,6 +153,16 @@ def test_correlation_reports_the_finite_part_off_equilibrium(capsys, tmp_path, n
     assert abs(payload["extrapolated_limit"] - expected) <= payload["extrapolation_error"]
     assert payload["fit_degenerate"] is False
     assert "note" not in payload
+
+
+def test_correlation_generic_equilibrium_within_its_bar(capsys, tmp_path):
+    # an equilibrium with generic real circulations: its limit F = 0 lies
+    # within the bar of the 2D main run and the contour rings
+    path = tmp_path / "generic.json"
+    path.write_text(json.dumps(GENERIC_N5))
+    code, payload, err = run_json(capsys, "correlation", str(path))
+    assert code == 0, err
+    assert abs(payload["extrapolated_limit"]) <= payload["extrapolation_error"]
 
 
 def test_correlation_single_vortex(capsys, tmp_path):

@@ -1,7 +1,7 @@
 import cmath
 import functools
-import json
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -33,7 +33,7 @@ from vortexcorr.correlation import (
 )
 from vortexcorr.quadrature import integrate_excised_disk
 
-from conftest import random_configuration
+from conftest import GENERIC_N5, random_configuration
 from oracles import eps_series, far_field_tail, finite_part, pair_kernel_over_disk
 
 
@@ -503,7 +503,7 @@ def test_shared_estimates_match_independent_runs(name):
         )
 
 
-@pytest.mark.parametrize("max_cells", [500, 2_000_000])
+@pytest.mark.parametrize("max_cells", [300, 2_000_000])
 @pytest.mark.parametrize("name", sorted(SHARED_CONFIGS))
 def test_shared_estimates_keep_target_and_budget(name, max_cells):
     config = SHARED_CONFIGS[name]
@@ -518,7 +518,7 @@ def test_shared_estimates_keep_target_and_budget(name, max_cells):
     # the main run's cells are shared: later estimates only add ring cells
     cells = [est.cells_used for est in report.estimates]
     assert cells == sorted(cells)
-    assert all(est.converged for est in report.estimates) == (max_cells > 500)
+    assert all(est.converged for est in report.estimates) == (max_cells > 300)
 
 
 # equilibria with their rigid motions (rotation, translation)
@@ -559,16 +559,15 @@ def test_error_bars_cover_the_exact_series(name):
             assert abs(est.value - exact) <= est.abs_error_estimate
 
 
-# main-run cells at the default spec under one-cell-at-a-time greedy
-# refinement (version 0.15.0, when the default R was 50 (1 + diameter));
-# rounds of eight splits may overshoot the target by a few cells, not by
-# more than 2%.  They are read from correlation_A_eps, so that the test
-# keeps covering the 2D engine whatever engine correlation_limit uses
+# main-run cells at the default spec (version 0.19.0, R = 4 in the frame),
+# with 2% slack for rounds of eight splits that overshoot.  They are read
+# from correlation_A_eps, so that the test keeps covering the 2D engine
+# whatever engine correlation_limit uses
 GREEDY_CELLS = {
-    "collinear": 392,
-    "cube_roots": 624,
-    "adler_moser_3": 4_524,
-    "adler_moser_4": 20_304,
+    "collinear": 216,
+    "cube_roots": 326,
+    "adler_moser_3": 1_493,
+    "adler_moser_4": 3_838,
 }
 
 
@@ -678,17 +677,60 @@ def test_contour_sum_matches_quadrature_off_equilibrium():
             assert abs(value * area - quadrature.value) <= bar
 
 
-# an equilibrium with generic real circulations (diameter 14.2), from a
-# Gauss-Newton solve of v_j = sum_{k != j} d_k/(a_j - a_k) = 0 in positions
-# and circulations together; kept exactly as found
-GENERIC_N5 = json.loads(
-    '{"vortices": ['
-    '{"x": 7.011786438118802, "y": -5.579557592950711, "d": 1.9181449643497057}, '
-    '{"x": 1.5947710165322673, "y": 2.313332075971045, "d": -0.26272407055998614}, '
-    '{"x": -1.2496325214903738, "y": 4.244544261312464, "d": 0.6471437454534819}, '
-    '{"x": -6.428002150573331, "y": -0.9317608349728624, "d": 0.6112243327058589}, '
-    '{"x": -2.2483475710131136, "y": -0.7505270345756404, "d": -0.677720994449256}]}'
+def _scattered(seed, count, box, separations):
+    """``count`` configurations from ``random.Random(seed)``.  Each draws n =
+    2 ... 8, then its minimum separation from ``separations`` (a single one
+    draws nothing), then points uniform in ``[-box, box]^2``, keeping a point
+    only if it is farther than that from the kept ones and then drawing its
+    ``d = +-U(0.2, 2)``."""
+    rng = random.Random(seed)
+    configs = []
+    for _ in range(count):
+        n = rng.randint(2, 8)
+        sep = rng.choice(separations) if len(separations) > 1 else separations[0]
+        pairs = []
+        while len(pairs) < n:
+            z = complex(rng.uniform(-box, box), rng.uniform(-box, box))
+            if all(abs(z - a) > sep for a, _ in pairs):
+                pairs.append((z, rng.choice([-1, 1]) * rng.uniform(0.2, 2)))
+        configs.append(VortexConfiguration.from_pairs(pairs))
+    return configs
+
+
+def _quadrature_and_contour(config, fraction):
+    """The 2D ``A_eps`` and the contour form's, at ``eps = fraction * sep``."""
+    spec = default_quadrature_spec(config)
+    e = fraction * config.min_separation
+    quadrature = correlation_A_eps(config, replace(spec, epsilon=e))
+    frame, _, shrink = _frame(config, spec)
+    return quadrature, _contour_A_eps(frame, e * shrink)[0] * shrink * shrink
+
+
+def test_error_estimate_covers_the_contour_value(generic_n5):
+    # the contour form is exact to rounding, so it measures the 2D engine's
+    # true error.  At 0.18.0 the estimate missed on configuration 35 (from
+    # 0) of the seed-11 set (3.7-fold), on the generic N = 5 equilibrium
+    # (1.6-fold) and 6 times in the 25 of the seed-5 set (up to 26-fold)
+    runs = [(config, 0.2) for config in _scattered(11, 40, 3.0, [0.3]) + [generic_n5]]
+    runs += [(config, 0.4) for config in _scattered(5, 25, 2.0, [0.05, 0.1, 0.3])]
+    for config, fraction in runs:
+        quadrature, contour = _quadrature_and_contour(config, fraction)
+        assert quadrature.converged
+        assert abs(quadrature.value - contour) <= quadrature.abs_error_estimate
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="crowded regime: at eps = 0.45 sep (97% of the largest accepted eps) "
+    "the cutoff ramp is short, and the 2D estimate misses on configurations 4, 5 "
+    "and 24 of the seed-5 set (64.7, 1.0 and 1.9-fold; 0.18.0 missed on 4, 8 and "
+    "24, 2.6, 1.9 and 7.6-fold)",
 )
+def test_crowded_error_estimate_covers_the_contour_value():
+    config = _scattered(5, 5, 2.0, [0.05, 0.1, 0.3])[4]
+    quadrature, contour = _quadrature_and_contour(config, 0.45)
+    assert quadrature.converged
+    assert abs(quadrature.value - contour) <= quadrature.abs_error_estimate
 
 
 @pytest.fixture(scope="module")
@@ -715,13 +757,9 @@ def test_generic_equilibrium_has_zero_finite_part(generic_n5):
     assert abs(limit) <= spread
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the 2D main run's error estimate understates its true error 1.6-fold "
-    "here (both Gauss rules agree on a feature neither resolves): limit -1.304e-5 "
-    "against a bar of 1.028e-5; the contour-form limit (ROADMAP item 2) covers it",
-)
 def test_generic_equilibrium_limit_within_its_bar(generic_n5):
+    # at 0.18.0 the main run's error estimate understated its true error
+    # 1.6-fold here (limit -1.304e-5 against a bar of 1.028e-5)
     config = generic_n5
     report = correlation_limit(
         config, default_epsilon_list(config), default_quadrature_spec(config)
