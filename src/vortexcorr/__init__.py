@@ -42,7 +42,7 @@ from .correlation import (
     pair_integral,
 )
 
-__version__ = "0.19.0"
+__version__ = "0.20.0"
 
 __all__ = [
     "__version__",

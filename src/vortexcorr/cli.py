@@ -178,16 +178,6 @@ def _plane_point(text: str, flag: str) -> complex:
     return complex(*xy)
 
 
-def _quadrature_spec(config: VortexConfiguration, params: dict, **fields) -> QuadratureSpec:
-    """The library's default spec for ``config`` with the command's overrides."""
-    return replace(
-        default_quadrature_spec(config),
-        target_abs_error=params["target_error"],
-        max_cells=params["max_cells"],
-        **fields,
-    )
-
-
 def cmd_energy(params: dict, config: VortexConfiguration, label: str | None) -> tuple[dict, int]:
     return {"W": energy(config), "convention": _CONVENTION_NOTE}, EXIT_OK
 
@@ -215,14 +205,13 @@ def cmd_correlation(
         if params.get("eps_list")
         else default_epsilon_list(config)
     )
-    spec = _quadrature_spec(config, params)
+    spec = default_quadrature_spec(config)
     report = correlation_limit(config, eps_values, spec)
     converged_all = all(est.converged for est in report.estimates)
     payload = {
         "residual": residual(config),
         "epsilons": list(eps_values),
         "cutoff_radius": spec.cutoff_radius,
-        "target_abs_error": spec.target_abs_error,
         "estimates": [
             {"epsilon": e, **asdict(est)} for e, est in zip(report.epsilons, report.estimates)
         ],
@@ -239,7 +228,13 @@ def cmd_pair_integral(params: dict) -> tuple[dict, int]:
     q = _plane_point(params["q"], "--q")
     eps = params["eps"]
     pair = VortexConfiguration.from_pairs([(p, 1.0), (q, 1.0)])
-    result = pair_integral(p, q, eps, _quadrature_spec(pair, params, epsilon=eps))
+    spec = replace(
+        default_quadrature_spec(pair),
+        epsilon=eps,
+        target_abs_error=params["target_error"],
+        max_cells=params["max_cells"],
+    )
+    result = pair_integral(p, q, eps, spec)
     mp = moebius_params(eps / abs(p - q))
     payload = {
         "p": _complex_dict(p),
@@ -355,10 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("correlation", help="A_eps estimates and the extrapolated limit")
     p.add_argument("config_path")
     p.add_argument("--eps-list", help="comma-separated, strictly decreasing excision radii")
-    p.add_argument(
-        "--target-error", type=_positive_float, default=QuadratureSpec.target_abs_error
-    )
-    p.add_argument("--max-cells", type=_positive_int, default=QuadratureSpec.max_cells)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     with_manifest(p)
 

@@ -4,32 +4,29 @@
 the plane with a disk of radius ``eps`` removed around every vortex; the
 correlation coefficient ``A`` is its ``eps -> 0`` limit.  At every
 equilibrium that limit is zero, which this module reproduces numerically:
-truncate to a disk ``B_R``, integrate adaptively, add the exact
-far-field tail, and extrapolate a short list of shrinking ``eps`` values.
+evaluate ``A_eps`` at a short list of shrinking ``eps`` values and
+extrapolate.
 For every configuration ``A_eps = alpha log eps + F + O(eps^2)`` with
 ``alpha`` known from the forces, so one model fits every input: subtract
 ``alpha log eps`` and extrapolate in ``eps^2`` to ``F``, which is zero at
 an equilibrium.
 
-:func:`correlation_limit` integrates adaptively once, at the largest
-``eps_1``.  Every smaller ``eps_i`` adds the rings ``eps_i < |z - a_k| <
-eps_1`` as ``C(eps_i) - C(eps_1)``, where ``C`` is the contour form of
-``A_eps`` (:func:`_contour_A_eps`): by Stokes' theorem ``A_eps`` is a sum
-of integrals over the ``eps``-circles, which the trapezoid rule evaluates
-to rounding with a bound, and no truncation radius or cell enters.  So
-``A_eps_i = A_eps_1 + C(eps_i) - C(eps_1)``, and every estimate rests on
-the one adaptive run: its error is common to every estimate, cancels in
-differences and passes through the extrapolation once (the Lagrange
-weights sum to one); only the ring bounds are independent noise,
-amplified by the extrapolation weights.
+:func:`correlation_limit` takes every ``A_eps`` from its contour form
+(:func:`_contour_A_eps`): by Stokes' theorem ``A_eps`` is a sum of
+integrals over the ``eps``-circles, which the trapezoid rule evaluates to
+rounding with a proven bound, and no truncation radius or cell enters.
+:func:`correlation_A_eps` is the independent 2D check of the same values:
+it truncates to a disk ``B_R``, integrates adaptively and adds the exact
+far-field tail.
 
 Every integral of a configuration runs in the frame ``(z - t) / 2^k``
 that :func:`_frame` picks from the centroid and the diameter, so a
 configuration far from the origin, or at any scale, meets the same
 floating-point range as one of unit size.  Values and errors come back
 to the caller's units by a power-of-two factor, which is exact, and so do
-the lengths in the message when the holes do not fit: quadrature alone
-rejects an ``eps`` that leaves a hole no room or a hole outside ``B_R``.
+the lengths in the message when the holes do not fit: both engines reject
+an ``eps`` that leaves a hole no room or a hole outside ``B_R``, by the
+quadrature's one rule.
 
 The pair kernel ``1/(conj(z-p)^2 (z-q)^2)`` integrates to zero over the
 plane minus eps-disks at ``p`` and ``q`` (the two-disk identity), which
@@ -43,14 +40,16 @@ turns the two-disk geometry into a round annulus.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .core import VortexConfiguration, forces
 from .rational import integrand_values
-from .quadrature import QuadratureResult, QuadratureSpec, _Misfit, integrate_excised_disk
+from .quadrature import QuadratureResult, QuadratureSpec, integrate_excised_disk
+from .quadrature import _fit_holes, _Misfit
 
 __all__ = [
     "MoebiusParams",
@@ -247,6 +246,16 @@ def _frame(
     return frame, spec, shrink
 
 
+@contextmanager
+def _caller_units(shrink: float) -> Iterator[None]:
+    """Restate a misfit of framed lengths in the caller's units."""
+    try:
+        yield
+    except _Misfit as misfit:
+        template, *lengths = misfit.args
+        raise _Misfit(template, *(x / shrink for x in lengths)) from None
+
+
 def _integrate(
     f: Callable[[np.ndarray], np.ndarray],
     centers: Sequence[complex],
@@ -254,13 +263,10 @@ def _integrate(
     shrink: float,
 ) -> tuple[complex, float, int, bool]:
     """:func:`integrate_excised_disk` on a framed spec, misfits in caller units."""
-    try:
+    with _caller_units(shrink):
         return integrate_excised_disk(
             f, centers, spec.epsilon, spec.cutoff_radius, spec.target_abs_error, spec.max_cells
         )
-    except _Misfit as misfit:
-        template, *lengths = misfit.args
-        raise _Misfit(template, *(x / shrink for x in lengths)) from None
 
 
 def pair_integral(
@@ -334,8 +340,8 @@ def correlation_A_eps(
 class CorrelationReport:
     """A_eps estimates over a shrinking eps-list with an extrapolated limit.
 
-    Every estimate after the first adds exact contour rings to the first
-    one's excised-disk run, so all of them report that run's cells.
+    Every estimate is the contour form's: its error is the trapezoid bound
+    plus the rounding estimate, and it uses no cells and no tail.
 
     ``extrapolated_limit`` is the finite part ``F`` of ``A_eps = alpha log
     eps + F + O(eps^2)``, which is zero at an equilibrium, and
@@ -349,7 +355,7 @@ class CorrelationReport:
 
     @property
     def fit_degenerate(self) -> bool:
-        """No error bar is claimed: the main run estimated nothing."""
+        """No error bar is claimed: the bar is not finite."""
         return not math.isfinite(self.extrapolation_error)
 
 
@@ -393,23 +399,22 @@ def correlation_limit(
 ) -> CorrelationReport:
     """Estimate ``lim A_eps`` from estimates over a shrinking eps-list.
 
-    One excised-disk run at the largest ``eps_1`` gets all of ``spec``'s
-    target and cells; every smaller ``eps_i`` adds contour rings to it (see
-    the module docstring).  For every configuration ``A_eps = alpha log eps
-    + F + O(eps^2)`` with ``alpha = -2 pi sum_m |2 f_m|^2`` known from the
-    forces: the circle integrals of :func:`_contour_A_eps` give ``alpha log
-    eps`` and ``F`` by residues, and the rest is a series in ``eps^2``.  So
-    ``alpha log eps_i`` (``eps_i`` in the caller's units) is subtracted from
-    every estimate and the remainder is Richardson-extrapolated in ``x =
-    eps^2`` through the last (up to three) points.  The limit is ``F``; both
-    ``alpha`` and ``F`` vanish at an equilibrium.
+    Every ``A_eps_i`` is the contour form :func:`_contour_A_eps` in the frame
+    that ``spec`` sets, with its trapezoid and rounding bound.  ``spec``'s
+    target and cell budget steer no run; its ``R`` sets only which ``eps``
+    fit: the largest must leave every hole room inside ``B_R``, as the 2D
+    quadrature would need, with the same message in the caller's units.
 
-    The error bar is the main run's error (common to every estimate, so it
-    passes through the weights, which sum to one, once), plus the largest
-    ring bound times the sum of absolute Lagrange weights, plus the model
-    spread: the change in the limit when the first point of the fit is
-    dropped.  A main run that estimated nothing (an infinite error) gives an
-    infinite bar, which :attr:`CorrelationReport.fit_degenerate` reports.
+    For every configuration ``A_eps = alpha log eps + F + O(eps^2)`` with
+    ``alpha = -2 pi sum_m |2 f_m|^2`` known from the forces: the circle
+    integrals give ``alpha log eps`` and ``F`` by residues, and the rest is
+    a series in ``eps^2``.  So ``alpha log eps_i`` (``eps_i`` in the caller's
+    units) is subtracted from every estimate and the remainder is
+    Richardson-extrapolated in ``x = eps^2`` through the last (up to three)
+    points.  The limit is ``F``; both ``alpha`` and ``F`` vanish at an
+    equilibrium.  The error bar is the largest bound over the fitted points
+    times the sum of absolute Lagrange weights, plus the model spread: the
+    change in the limit when the first point of the fit is dropped.
     """
     eps = [float(e) for e in epsilons]
     if len(eps) < 2:
@@ -419,34 +424,23 @@ def correlation_limit(
             raise ValueError("epsilons must be strictly decreasing")
     if not eps[-1] > 0.0:
         raise ValueError("epsilons must be positive")
-    main = correlation_A_eps(config, replace(spec, epsilon=eps[0]))
-    frame, _, shrink = _frame(config, spec)
+    frame, framed, shrink = _frame(config, replace(spec, epsilon=eps[0]))
+    # a single vortex has A_eps = 0 for every eps, as correlation_A_eps says
+    if len(frame) > 1:
+        with _caller_units(shrink):
+            _fit_holes(frame.positions, framed.epsilon, framed.cutoff_radius)
     area = shrink * shrink
-    (value_1, *bound_1), *rest = [_contour_A_eps(frame, e * shrink) for e in eps]
-    # ring i is C(eps_i) - C(eps_1), bounded by the sum of both contour bounds
-    rings = [
-        ((value - value_1) * area, math.fsum(bound + bound_1) * area)
-        for value, *bound in rest
-    ]
-    estimates = (main,) + tuple(
-        QuadratureResult(
-            value=main.value + ring,
-            abs_error_estimate=main.abs_error_estimate + noise,
-            tail_correction=main.tail_correction,
-            cells_used=main.cells_used,
-            converged=main.converged,
-        )
-        for ring, noise in rings
-    )
-    noises = [0.0] + [noise for _, noise in rings]
+    estimates = []
+    for e in eps:
+        value, trapezoid, rounding = _contour_A_eps(frame, e * shrink)
+        estimates.append(QuadratureResult(value * area, (trapezoid + rounding) * area, 0.0, 0))
 
     # alpha in the caller's units, from the frame's forces: those of a tiny
     # configuration would overflow when squared
     alpha = -8.0 * math.pi * math.fsum(abs(f) ** 2 for f in forces(frame)) * area
     limit, amplification, spread = _extrapolate(eps, [est.value for est in estimates], alpha)
-    # the ring noise over the fit's points, the last three at most
-    extrap_error = main.abs_error_estimate + amplification * max(noises[-3:]) + spread
-    return CorrelationReport(tuple(eps), estimates, limit, extrap_error)
+    bound = max(est.abs_error_estimate for est in estimates[-3:])
+    return CorrelationReport(tuple(eps), tuple(estimates), limit, amplification * bound + spread)
 
 
 def default_quadrature_spec(config: VortexConfiguration) -> QuadratureSpec:

@@ -396,20 +396,12 @@ class _Misfit(ValueError):
         return template.format(*lengths)
 
 
-def integrate_excised_disk(
-    f: Callable[[np.ndarray], np.ndarray],
-    centers: Sequence[complex],
-    epsilon: float,
-    cutoff_radius: float,
-    target_abs_error: float,
-    max_cells: int,
-) -> tuple[complex, float, int, bool]:
-    """Integrate ``f`` over ``B_cutoff_radius`` minus the ``epsilon``-disks
-    about ``centers``, which the caller keeps disjoint.
+def _fit_holes(centers: Sequence[complex], epsilon: float, cutoff_radius: float) -> _Holes:
+    """Centres, plateaus and supports of the ``epsilon``-holes about ``centers``
+    in ``B_cutoff_radius`` (see the module docstring), or a :class:`_Misfit`.
 
-    ``f`` receives a 1-D array of complex points and must return an array of
-    values (real or complex).  Returns ``(value, error_estimate, cells_used,
-    converged)``.  ``cutoff_radius`` may not exceed ``2**340``.
+    The one rule for which ``epsilon`` fits: the contour engine, which needs
+    no cutoff, accepts the same holes as the quadrature.
     """
     if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
@@ -438,8 +430,26 @@ def integrate_excised_disk(
         message = f"excision radius {{}} leaves no room for the cutoff around point {i}"
         message += " (room {}, to the nearest other point or twice to the cutoff radius {})"
         raise _Misfit(message, epsilon, float(room[i]), cutoff_radius)
+    return centers, plateaus, supports
 
-    holes = (centers, plateaus, supports)
+
+def integrate_excised_disk(
+    f: Callable[[np.ndarray], np.ndarray],
+    centers: Sequence[complex],
+    epsilon: float,
+    cutoff_radius: float,
+    target_abs_error: float,
+    max_cells: int,
+) -> tuple[complex, float, int, bool]:
+    """Integrate ``f`` over ``B_cutoff_radius`` minus the ``epsilon``-disks
+    about ``centers``, which the caller keeps disjoint.
+
+    ``f`` receives a 1-D array of complex points and must return an array of
+    values (real or complex).  Returns ``(value, error_estimate, cells_used,
+    converged)``.  ``cutoff_radius`` may not exceed ``2**340``; holes that do
+    not fit raise as :func:`_fit_holes` says.
+    """
+    holes = _fit_holes(centers, epsilon, cutoff_radius)
     patches = [_Region(c, p, s) for c, p, s in zip(*(a.tolist() for a in holes))]
     cells: list[tuple[int, _Cell]] = []
     for idx, p in enumerate(patches):

@@ -181,8 +181,6 @@ def test_correlation_collinear(capsys, collinear_file):
         collinear_file,
         "--eps-list",
         "0.2,0.1,0.05",
-        "--target-error",
-        "1e-4",
     )
     assert code == 0
     assert abs(payload["extrapolated_limit"]) < 1e-3
@@ -200,8 +198,6 @@ def test_correlation_csv_format(capsys, collinear_file):
         "csv",
         "--eps-list",
         "0.2,0.1",
-        "--target-error",
-        "1e-3",
     )
     assert code == 0
     lines = out.strip().splitlines()
@@ -209,34 +205,14 @@ def test_correlation_csv_format(capsys, collinear_file):
     assert len(lines) == 3
 
 
-def test_correlation_budget_exhaustion_exit_4(capsys, collinear_file):
-    code, payload, _ = run_json(
-        capsys,
-        "correlation",
-        collinear_file,
-        "--eps-list",
-        "0.2,0.1",
-        "--target-error",
-        "1e-9",
-        "--max-cells",
-        "400",
-    )
-    assert code == 4
-    assert payload["budget_exhausted"] is True
-
-
-def test_correlation_budget_below_starting_mesh_exit_4(capsys, collinear_file, tmp_path):
-    manifest = tmp_path / "run.json"
-    code, out, err = run_cli(
-        capsys, "correlation", collinear_file, "--max-cells", "10", "--manifest", str(manifest)
-    )
-    assert code == 4
-    assert "Traceback" not in err
-    payload = strict_loads(out)
-    assert strict_loads(manifest.read_text())["results"] == payload
-    assert payload["budget_exhausted"] is True
-    assert all(est["cells_used"] <= 10 for est in payload["estimates"])
-    assert payload["extrapolation_error"] is None
+def test_correlation_has_no_quadrature_knobs(capsys, collinear_file):
+    # the limit comes from the contour form, which no error target or cell
+    # budget steers; pair-integral keeps both
+    for option in ("--target-error", "--max-cells"):
+        code, out, err = run_cli(capsys, "correlation", collinear_file, option, "10")
+        assert code == 2
+        assert f"unrecognized arguments: {option} 10" in err
+        assert out == ""
 
 
 def test_correlation_bad_eps_list(capsys, collinear_file):
@@ -286,6 +262,45 @@ def test_pair_integral_eps_too_large_exit_2(capsys):
     code, out, err = run_cli(capsys, "pair-integral", "--p", "0,0", "--q", "1,0", "--eps", "0.6")
     assert code == 2
     assert "leaves no room for the cutoff" in err
+
+
+def test_pair_integral_budget_exhaustion_exit_4(capsys, tmp_path):
+    manifest = tmp_path / "run.json"
+    code, out, _ = run_cli(
+        capsys,
+        "pair-integral",
+        "--p", "0,0",
+        "--q", "1,0",
+        "--eps", "0.1",
+        "--target-error", "1e-9",
+        "--max-cells", "400",
+        "--manifest", str(manifest),
+    )
+    assert code == 4
+    payload = strict_loads(out)
+    assert strict_loads(manifest.read_text())["results"] == payload
+    assert payload["converged"] is False
+    assert payload["cells_used"] <= 400
+
+
+def test_pair_integral_budget_below_starting_mesh_exit_4(capsys, tmp_path):
+    manifest = tmp_path / "run.json"
+    code, out, err = run_cli(
+        capsys,
+        "pair-integral",
+        "--p", "0,0",
+        "--q", "1,0",
+        "--eps", "0.1",
+        "--max-cells", "10",
+        "--manifest", str(manifest),
+    )
+    assert code == 4
+    assert "Traceback" not in err
+    payload = strict_loads(out)
+    assert strict_loads(manifest.read_text())["results"] == payload
+    assert payload["converged"] is False
+    assert payload["cells_used"] <= 10
+    assert payload["abs_error_estimate"] is None
 
 
 def test_pair_integral_infinite_point_exit_2(capsys):
@@ -476,8 +491,6 @@ def test_manifest_replay_bit_exact(capsys, collinear_file, tmp_path):
         collinear_file,
         "--eps-list",
         "0.2,0.1",
-        "--target-error",
-        "1e-3",
         "--manifest",
         str(manifest),
     )
@@ -514,8 +527,6 @@ def test_replay_across_versions_says_so(capsys, collinear_file, tmp_path):
         collinear_file,
         "--eps-list",
         "0.2,0.1",
-        "--target-error",
-        "1e-3",
         "--manifest",
         str(manifest),
     )
@@ -578,14 +589,65 @@ def test_replay_of_a_suppressed_limit_differs(capsys, two_positive_file, tmp_pat
     assert strict_loads(out)["extrapolated_limit"] is not None
 
 
+# a manifest exactly as vortexcorr 0.19.0 wrote it for the collinear triple,
+# bar the configuration path: a 2D main run at eps_1 set every estimate's
+# error and cells, and the payload named the error target
+MANIFEST_0_19_0 = {
+    "command": "correlation",
+    "parameters": {"eps_list": None, "max_cells": 2_000_000, "target_error": 1e-05},
+    "results": {
+        "budget_exhausted": False,
+        "cutoff_radius": 16.0,
+        "epsilons": [0.2, 0.1, 0.05],
+        "estimates": [
+            {
+                "abs_error_estimate": err,
+                "cells_used": 216,
+                "converged": True,
+                "epsilon": eps,
+                "tail_correction": 0.03662490900862154,
+                "value": value,
+            }
+            for eps, value, err in (
+                (0.2, -0.26507760487152365, 6.4127022984348024e-06),
+                (0.1, -0.06952692236439417, 6.412702459556924e-06),
+                (0.05, -0.017598120934072897, 6.4127024414385914e-06),
+            )
+        ],
+        "extrapolated_limit": -1.819771920678892e-05,
+        "extrapolation_error": 0.0002767354406951242,
+        "fit_degenerate": False,
+        "label": "collinear",
+        "residual": 0.0,
+        "target_abs_error": 1e-05,
+    },
+    "tool_version": "vortexcorr 0.19.0",
+}
+
+
+def test_replay_of_a_0_19_0_correlation_manifest(capsys, collinear_file, tmp_path):
+    # its extra parameters are ignored; the results differ, and replay names
+    # both versions
+    manifest = tmp_path / "run.json"
+    stored = json.loads(json.dumps(MANIFEST_0_19_0))
+    stored["parameters"]["config_path"] = collinear_file
+    manifest.write_text(json.dumps(stored))
+    code, out, err = run_cli(capsys, "replay", str(manifest))
+    assert code == 1
+    assert "DIFFER" in err
+    assert "the manifest was written by vortexcorr 0.19.0" in err
+    assert "bit-exact only within a version" in err
+    payload = strict_loads(out)
+    assert "target_abs_error" not in payload
+    assert abs(payload["extrapolated_limit"]) <= payload["extrapolation_error"]
+
+
 def test_repeated_cli_runs_are_bit_identical(capsys, collinear_file):
     args = (
         "correlation",
         collinear_file,
         "--eps-list",
         "0.2,0.1",
-        "--target-error",
-        "1e-3",
     )
     _, out1, _ = run_cli(capsys, *args)
     _, out2, _ = run_cli(capsys, *args)
@@ -678,16 +740,8 @@ CONTRACT_CASES = {
     "replay-refine-zero-tol": ("refine", {"free": "all", "tol": 0, "max_iter": 50}, 2),
     "replay-refine-no-free": ("refine", {"tol": 1e-12, "max_iter": 50}, 2),
     "replay-check-text-tol": ("check", {"tol": "x"}, 2),
-    "replay-correlation-text-max-cells": (
-        "correlation",
-        {"target_error": 1e-5, "max_cells": "5"},
-        2,
-    ),
-    "replay-correlation-null-target": (
-        "correlation",
-        {"target_error": None, "max_cells": 2_000_000},
-        2,
-    ),
+    "replay-correlation-text-eps-list": ("correlation", {"eps_list": "0.2,x"}, 2),
+    "replay-correlation-eps-list-is-a-list": ("correlation", {"eps_list": [0.2, 0.1]}, 2),
     "replay-energy-no-parameters": ("energy", None, 2),
     "replay-command-is-a-list": (["energy"], {}, 2),
     "replay-command-is-an-object": ({"name": "energy"}, {}, 2),
