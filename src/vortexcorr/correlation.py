@@ -21,12 +21,12 @@ far-field tail.
 
 Every integral of a configuration runs in the frame ``(z - t) / 2^k``
 that :func:`_frame` picks from the centroid and the diameter, so a
-configuration far from the origin, or at any scale, meets the same
-floating-point range as one of unit size.  Values and errors come back
-to the caller's units by a power-of-two factor, which is exact, and so do
-the lengths in the message when the holes do not fit: both engines reject
-an ``eps`` that leaves a hole no room or a hole outside ``B_R``, by the
-quadrature's one rule.
+configuration far from the origin, or at any scale within ``2^+-500``,
+meets the floating-point range of one of unit size.  Values and errors come
+back to the caller's units by a power-of-two factor, which is exact, and so
+do the lengths in the message when the holes do not fit: both engines
+reject an ``eps`` that leaves a hole no room or a hole outside ``B_R``, by
+the quadrature's one rule.
 
 The pair kernel ``1/(conj(z-p)^2 (z-q)^2)`` integrates to zero over the
 plane minus eps-disks at ``p`` and ``q`` (the two-disk identity), which
@@ -190,13 +190,18 @@ def _contour_A_eps(frame: VortexConfiguration, epsilon: float) -> tuple[float, f
         return x * (v_max.sum(axis=(1, 2)) * phi_max**2 + squares)
 
     s = math.sqrt(frame.min_separation / epsilon)
-    outer = math.fsum(k_max(epsilon * s, epsilon / s))
-    centre_max = (dj * dj / dist + np.abs(gj * np.log(dist * dist))).sum(axis=(1, 2))
-    residue_max = np.abs(g) * (np.abs(g) * abs(math.log(epsilon * epsilon)) + centre_max)
-    # bounds every summed magnitude, on the circle and in the residues
-    scale = math.fsum(k_max(epsilon, epsilon) + residue_max)
+    # a tiny eps or huge circulations overflow the bounds: rejected below, unwarned
+    with np.errstate(over="ignore", invalid="ignore"):
+        outer = math.fsum(k_max(epsilon * s, epsilon / s))
+        centre_max = (dj * dj / dist + np.abs(gj * np.log(dist * dist))).sum(axis=(1, 2))
+        residue_max = np.abs(g) * (np.abs(g) * abs(math.log(epsilon * epsilon)) + centre_max)
+        # bounds every summed magnitude, on the circle and in the residues
+        scale = math.fsum(k_max(epsilon, epsilon) + residue_max)
+    excess = 2.0**54 * outer / scale
+    if not math.isfinite(excess):
+        raise _Misfit("the contour form's bound at excision radius {} is not finite", epsilon)
     # the least node count whose trapezoid bound is below 2^-53 pi scale
-    nodes = math.ceil(math.log1p(2.0**54 * outer / scale) / math.log(s))
+    nodes = math.ceil(math.log1p(excess) / math.log(s))
     w = epsilon * np.exp(2j * math.pi / nodes * np.arange(nodes))
 
     u, ratio = w[:, None] - b, w[:, None] / b
@@ -217,33 +222,28 @@ def _binade(config: VortexConfiguration) -> int:
     return math.frexp(config.diameter)[1]
 
 
-def _frame(
-    config: VortexConfiguration, spec: QuadratureSpec
-) -> tuple[VortexConfiguration, QuadratureSpec, float]:
-    """``config`` and ``spec`` in the frame ``w = (z - t) / 2^k``, and ``2^-k``.
+def _frame(config: VortexConfiguration) -> tuple[VortexConfiguration, float]:
+    """``config`` in the frame ``w = (z - t) / 2^k``, and ``2^-k``.
 
     ``2^k`` is the binade of the diameter and ``t`` the centroid rounded to a
     multiple of ``2^k`` per component, so the frame diameter lies in
     ``[1/2, 1)`` and ``B_R`` is centred at ``t``.  Lengths scale by ``2^-k`` and integrals
     by ``4^-k``, exactly; ``t = 0`` when the centroid lies within ``2^(k-1)``
-    of the origin, so such configurations keep their bits.
+    of the origin, so such configurations keep their bits.  This is the one
+    rule on the positions' scale: ``|k| <= 500`` keeps ``4^-k`` within
+    ``2^+-1000``, among the normal floats.  The 2D engine also checks its
+    framed target, and :func:`correlation_limit` the range of its results.
     """
     k = _binade(config)
+    if abs(k) > 500:
+        raise ValueError(f"the coordinate scale 2**{k} is out of floating-point range")
     shrink = math.ldexp(1.0, -k)
-    target = spec.target_abs_error / shrink / shrink
-    if not target < math.inf:
-        raise ValueError(
-            f"the coordinate scale 2**{k} puts the error target "
-            f"{spec.target_abs_error} out of floating-point range"
-        )
     xy = np.array([(a.real, a.imag) for a in config.positions])
     xy = (xy - np.round(xy.mean(axis=0) * shrink) / shrink) * shrink
     frame = VortexConfiguration.from_coordinates(
         (x, y, d) for (x, y), d in zip(xy.tolist(), config.circulations)
     )
-    eps, radius = spec.epsilon * shrink, spec.cutoff_radius * shrink
-    spec = replace(spec, epsilon=eps, cutoff_radius=radius, target_abs_error=target)
-    return frame, spec, shrink
+    return frame, shrink
 
 
 @contextmanager
@@ -257,16 +257,29 @@ def _caller_units(shrink: float) -> Iterator[None]:
 
 
 def _integrate(
-    f: Callable[[np.ndarray], np.ndarray],
-    centers: Sequence[complex],
+    config: VortexConfiguration,
     spec: QuadratureSpec,
-    shrink: float,
-) -> tuple[complex, float, int, bool]:
-    """:func:`integrate_excised_disk` on a framed spec, misfits in caller units."""
+    kernel: Callable[[VortexConfiguration, np.ndarray], np.ndarray],
+    tail: Callable[[VortexConfiguration, float], complex],
+) -> tuple[complex, float, complex, int, bool]:
+    """The one 2D entry: ``kernel(frame, z)`` over ``B_R`` minus the holes plus
+    ``tail(frame, R)``, in the frame of :func:`_frame`, with eps and ``R``
+    moved there by ``2^-k`` and the target, which must stay a positive float,
+    by ``4^k``.  Returns ``(value with tail, error, tail, cells_used,
+    converged)`` in the caller's units; a misfit names the caller's lengths.
+    """
+    frame, shrink = _frame(config)
+    eps, radius = spec.epsilon * shrink, spec.cutoff_radius * shrink
+    target = spec.target_abs_error / shrink / shrink
+    if not 0.0 < target < math.inf:
+        message = f"the coordinate scale 2**{_binade(config)} puts the error target"
+        raise ValueError(f"{message} {spec.target_abs_error} out of floating-point range")
     with _caller_units(shrink):
-        return integrate_excised_disk(
-            f, centers, spec.epsilon, spec.cutoff_radius, spec.target_abs_error, spec.max_cells
+        raw, err, cells, converged = integrate_excised_disk(
+            lambda zs: kernel(frame, zs), frame.positions, eps, radius, target, spec.max_cells
         )
+    exact, area = tail(frame, radius), shrink * shrink
+    return (raw + exact) * area, err * area, exact * area, cells, converged
 
 
 def pair_integral(
@@ -287,20 +300,18 @@ def pair_integral(
     """
     mid = 0.5 * (complex(p) + complex(q))
     pair = VortexConfiguration.from_pairs([(p - mid, 1.0), (q - mid, 1.0)])
-    frame, spec, shrink = _frame(pair, replace(spec, epsilon=epsilon))
-    a, b = frame.positions
 
-    def f(zs: np.ndarray) -> np.ndarray:
+    def kernel(frame: VortexConfiguration, zs: np.ndarray) -> np.ndarray:
+        a, b = frame.positions
         # the square of the reciprocal: the fourth-degree denominator itself
         # overflows at |z| near 1e77
         g = 1.0 / (np.conj(zs - a) * (zs - b))
         return g * g
 
-    raw, err, cells, converged = _integrate(f, [a, b], spec, shrink)
-    tail = _pair_tail(a, b, spec.cutoff_radius)
-    area = shrink * shrink
-    estimate = (raw + tail) * area
-    return QuadratureResult(abs(estimate), err * area, tail.real * area, cells, converged)
+    value, err, tail, cells, converged = _integrate(
+        pair, replace(spec, epsilon=epsilon), kernel, lambda f, r: _pair_tail(*f.positions, r)
+    )
+    return QuadratureResult(abs(value), err, tail.real, cells, converged)
 
 
 def correlation_A_eps(
@@ -316,24 +327,9 @@ def correlation_A_eps(
     quadrature.
     """
     if len(config) == 1:
-        return QuadratureResult(
-            value=0.0, abs_error_estimate=0.0, tail_correction=0.0, cells_used=0
-        )
-    frame, spec, shrink = _frame(config, spec)
-
-    def f(zs: np.ndarray) -> np.ndarray:
-        return integrand_values(frame, zs)
-
-    raw, err, cells, converged = _integrate(f, frame.positions, spec, shrink)
-    area = shrink * shrink
-    tail = _far_field_tail(frame, spec.cutoff_radius)
-    return QuadratureResult(
-        value=(raw.real + tail) * area,
-        abs_error_estimate=err * area,
-        tail_correction=tail * area,
-        cells_used=cells,
-        converged=converged,
-    )
+        return QuadratureResult(0.0, 0.0, 0.0, 0)
+    value, *rest = _integrate(config, spec, integrand_values, _far_field_tail)
+    return QuadratureResult(value.real, *rest)
 
 
 @dataclass(frozen=True)
@@ -400,10 +396,10 @@ def correlation_limit(
     """Estimate ``lim A_eps`` from estimates over a shrinking eps-list.
 
     Every ``A_eps_i`` is the contour form :func:`_contour_A_eps` in the frame
-    that ``spec`` sets, with its trapezoid and rounding bound.  ``spec``'s
-    target and cell budget steer no run; its ``R`` sets only which ``eps``
-    fit: the largest must leave every hole room inside ``B_R``, as the 2D
-    quadrature would need, with the same message in the caller's units.
+    of :func:`_frame` with its trapezoid and rounding bound, all finite in
+    the caller's units, as are the limit and bar.  ``spec``'s target and cell
+    budget steer no run; its ``R`` sets only which ``eps`` fit: the largest
+    must leave every hole room in ``B_R``, with misfits in the caller's units.
 
     For every configuration ``A_eps = alpha log eps + F + O(eps^2)`` with
     ``alpha = -2 pi sum_m |2 f_m|^2`` known from the forces: the circle
@@ -424,23 +420,26 @@ def correlation_limit(
             raise ValueError("epsilons must be strictly decreasing")
     if not eps[-1] > 0.0:
         raise ValueError("epsilons must be positive")
-    frame, framed, shrink = _frame(config, replace(spec, epsilon=eps[0]))
-    # a single vortex has A_eps = 0 for every eps, as correlation_A_eps says
-    if len(frame) > 1:
-        with _caller_units(shrink):
-            _fit_holes(frame.positions, framed.epsilon, framed.cutoff_radius)
+    frame, shrink = _frame(config)
     area = shrink * shrink
     estimates = []
-    for e in eps:
-        value, trapezoid, rounding = _contour_A_eps(frame, e * shrink)
-        estimates.append(QuadratureResult(value * area, (trapezoid + rounding) * area, 0.0, 0))
+    with _caller_units(shrink):
+        # a single vortex has A_eps = 0 for every eps, as correlation_A_eps says
+        if len(frame) > 1:
+            _fit_holes(frame.positions, eps[0] * shrink, spec.cutoff_radius * shrink)
+        for e in eps:
+            value, trapezoid, rounding = _contour_A_eps(frame, e * shrink)
+            estimates.append(QuadratureResult(value * area, (trapezoid + rounding) * area, 0.0, 0))
 
     # alpha in the caller's units, from the frame's forces: those of a tiny
     # configuration would overflow when squared
     alpha = -8.0 * math.pi * math.fsum(abs(f) ** 2 for f in forces(frame)) * area
     limit, amplification, spread = _extrapolate(eps, [est.value for est in estimates], alpha)
-    bound = max(est.abs_error_estimate for est in estimates[-3:])
-    return CorrelationReport(tuple(eps), tuple(estimates), limit, amplification * bound + spread)
+    bar = amplification * max(est.abs_error_estimate for est in estimates[-3:]) + spread
+    sizes = [abs(est.value) + est.abs_error_estimate for est in estimates] + [abs(limit) + bar]
+    if not np.isfinite(sizes).all():
+        raise ValueError(f"A_eps at the excision radii {eps} is out of floating-point range")
+    return CorrelationReport(tuple(eps), tuple(estimates), limit, bar)
 
 
 def default_quadrature_spec(config: VortexConfiguration) -> QuadratureSpec:

@@ -452,6 +452,38 @@ def test_refine_nonconvergence_exit_4(capsys, tmp_path):
     assert payload["residual"] < payload["residual_before"]
 
 
+def _am3_rows(scale=1.0):
+    base = equilibria.config_from_adler_moser(equilibria.adler_moser_chain(3, [1.0, 1.0]))
+    return [(scale * z.real, scale * z.imag, d) for z, d in zip(base.positions, base.circulations)]
+
+
+def test_refine_below_rounding_stalls_exit_4(capsys, tmp_path):
+    # no step lowers the residual of AM n=3 below its rounding floor, far
+    # above 1e-20: the line search stalls and the best iterate is reported
+    path = write_config(tmp_path / "am3.json", _am3_rows())
+    code, payload, err = run_json(capsys, "refine", path, "--tol", "1e-20")
+    assert code == 4
+    assert payload["converged"] is False
+    assert payload["message"].startswith("line search stalled at residual")
+    assert payload["residual"] <= payload["residual_before"]
+    assert "Traceback" not in err
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the check and Newton tolerances are absolute: AM n=3 scaled by 1e-6 "
+    "has a construction residual of 3.9e-10, so `check --tol 1e-10` calls it no "
+    "equilibrium and `refine` stalls at about 2.1e-10 and exits 4 (ROADMAP item 9)",
+)
+def test_an_equilibrium_scaled_by_1e_minus_6_is_one(capsys, tmp_path):
+    path = write_config(tmp_path / "am3-small.json", _am3_rows(1e-6))
+    code, payload, _ = run_json(capsys, "check", path, "--tol", "1e-10")
+    assert code == 0
+    assert payload["is_equilibrium"] is True
+    code, payload, _ = run_json(capsys, "refine", path)
+    assert code == 0, payload["message"]
+
+
 def test_refine_bad_free_exit_2(capsys, collinear_file):
     code, out, err = run_cli(capsys, "refine", collinear_file, "--free", "1,junk")
     assert code == 2
@@ -714,18 +746,39 @@ def _moved(scale, shift=0.0):
 # two vortices whose difference 2e308 overflows
 OVERFLOWING_ROWS = [(-1e308, 0.0, 1.0), (1e308, 0.0, 1.0)]
 
-# (command, configuration rows or manifest parameters, expected exit code,
-# further arguments)
+# (command, configuration rows or manifest parameters or a file's whole text,
+# expected exit code, further arguments with {tmp} for the test's directory)
 CONTRACT_CASES = {
     "correlation-translated": ("correlation", _moved(1.0, 1000.0), 0),
     "correlation-scale-1e100": ("correlation", _moved(1e100), 0),
     "correlation-scale-1e104": ("correlation", _moved(1e104), 0),
+    "correlation-scale-1e150": ("correlation", _moved(1e150), 0),
+    "correlation-scale-1e-150": ("correlation", _moved(1e-150), 0),
+    # the frame takes a diameter's binade 2^k only for |k| <= 500
+    "correlation-scale-1e155": ("correlation", _moved(1e155), 2),
     "correlation-scale-1e160": ("correlation", _moved(1e160), 2),
+    "correlation-scale-1e-160": ("correlation", _moved(1e-160), 2),
+    # circulations of 60 at scale 1e-151 carry A_eps past the float range
+    "correlation-values-overflow": (
+        "correlation",
+        [(1e-151 * x, y, 60.0 * d) for x, y, d in COLLINEAR_ROWS],
+        2,
+    ),
+    # the contour form's trapezoid bound must be finite
+    "correlation-eps-1e-90": ("correlation", COLLINEAR_ROWS, 0, ["--eps-list", "1e-90,1e-91"]),
+    "correlation-eps-1e-110": ("correlation", COLLINEAR_ROWS, 2, ["--eps-list", "1e-100,1e-110"]),
+    "correlation-eps-1e-160": ("correlation", COLLINEAR_ROWS, 2, ["--eps-list", "1e-160,1e-170"]),
     "pair-integral-scale-1e120": (
         "pair-integral",
         None,
         0,
         ["--p", "0,0", "--q", "1e120,0", "--eps", "1e119"],
+    ),
+    "pair-integral-scale-1e152": (
+        "pair-integral",
+        None,
+        2,
+        ["--p", "0,0", "--q", "1e152,0", "--eps", "1e151"],
     ),
     # coincident vortices are an invariant violation, not a usage error
     "pair-integral-coincident": (
@@ -762,14 +815,55 @@ CONTRACT_CASES = {
         {"p": "inf,0", "q": "1,0", "eps": 0.1, "target_error": 1e-6, "max_cells": 2_000_000},
         2,
     ),
+    # a file's text as it stands: malformed configurations and manifests
+    "config-not-an-object": ("energy", "[1, 2]", 2),
+    "config-vortices-not-a-list": ("energy", '{"vortices": {"x": 0}}', 2),
+    "config-vortex-not-an-object": ("energy", '{"vortices": [[0, 0, 1]]}', 2),
+    "config-non-numeric-field": ("check", '{"vortices": [{"x": "east", "y": 0, "d": 1}]}', 2),
+    "config-label-not-a-string": (
+        "correlation",
+        '{"vortices": [{"x": 0, "y": 0, "d": 1}], "label": 7}',
+        2,
+    ),
+    "replay-not-a-manifest": (None, '{"command": "energy"}', 2),
+    "adler-moser-out-unwritable": (
+        "adler-moser",
+        None,
+        2,
+        ["--n", "2", "--tau-list", "-1", "--out", "{tmp}/missing/am2.json"],
+    ),
 }
+
+# what stderr must name, by case
+CONTRACT_MESSAGES = {
+    "pair-integral-coincident": "vortices 0 and 1 coincide",
+    "correlation-scale-1e155": "error: the coordinate scale 2**516 is out of floating-point range",
+    "correlation-scale-1e160": "error: the coordinate scale 2**533 is out of floating-point range",
+    "correlation-scale-1e-160": "error: the coordinate scale 2**-530 is out of floating-point",
+    "correlation-values-overflow": "error: A_eps at the excision radii [2e-152, 1e-152, 5e-153]",
+    "pair-integral-scale-1e152": "error: the coordinate scale 2**505 is out of floating-point",
+    "correlation-eps-1e-110": "bound at excision radius 1e-110 is not finite",
+    "correlation-eps-1e-160": "bound at excision radius 1e-160 is not finite",
+    "config-not-an-object": "expected an object with a 'vortices' list",
+    "config-vortices-not-a-list": "'vortices' must be a list",
+    "config-vortex-not-an-object": "vortex 0 must be an object with keys x, y, d",
+    "config-non-numeric-field": "vortex 0 has a non-numeric field",
+    "config-label-not-a-string": "'label' must be a string",
+    "replay-not-a-manifest": "is not a run manifest",
+    "adler-moser-out-unwritable": "error: cannot write",
+}
+assert set(CONTRACT_MESSAGES) <= set(CONTRACT_CASES)
 
 
 @pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
 def test_exit_code_contract(capsys, tmp_path, case):
     command, data, expected, *rest = CONTRACT_CASES[case]
-    args = rest[0] if rest else []
-    if case.startswith("replay-"):
+    args = [arg.replace("{tmp}", str(tmp_path)) for arg in (rest[0] if rest else [])]
+    if isinstance(data, str):
+        path = tmp_path / "input.json"
+        path.write_text(data)
+        argv = ["replay", str(path)] if case.startswith("replay-") else [command, str(path)]
+    elif case.startswith("replay-"):
         parameters = {}
         if data is not None:
             config = write_config(tmp_path / "collinear.json", COLLINEAR_ROWS)
@@ -797,8 +891,11 @@ def test_exit_code_contract(capsys, tmp_path, case):
         assert err.startswith("error: ")
     if expected == 5:
         assert err.endswith("; try perturbing the tau parameters\n")
-    if case == "pair-integral-coincident":
-        assert "vortices 0 and 1 coincide" in err
+    # no numpy warning reaches stderr, and correlation has no error target
+    assert "Warning" not in err
+    if command == "correlation":
+        assert "target" not in err
+    assert CONTRACT_MESSAGES.get(case, "") in err
 
 
 def test_radius_is_not_an_option(capsys, collinear_file):

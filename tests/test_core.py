@@ -6,6 +6,7 @@ import pytest
 from vortexcorr import (
     ConfigurationError,
     Similarity,
+    Vortex,
     VortexConfiguration,
     collinear_triple,
     energy,
@@ -155,6 +156,11 @@ def test_configuration_requires_a_vortex():
         VortexConfiguration(())
 
 
+def test_configuration_rejects_an_entry_that_is_not_a_vortex():
+    with pytest.raises(ConfigurationError, match="entry 1 is not a Vortex"):
+        VortexConfiguration((Vortex(0j, 1.0), (1.0, 1.0)))
+
+
 def test_force_single_vortex_is_zero():
     config = VortexConfiguration.from_pairs([(0.3 + 0.1j, 2.0)])
     assert forces(config)[0] == 0j
@@ -243,6 +249,12 @@ def test_similarity_validation():
         Similarity(scale=0.0)
     with pytest.raises(ValueError):
         Similarity(scale=-2.0)
+    for rotation in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="rotation must be finite"):
+            Similarity(rotation=rotation)
+    for translation in (complex(math.inf, 0.0), complex(0.0, math.nan)):
+        with pytest.raises(ValueError, match="translation must be finite"):
+            Similarity(translation=translation)
 
 
 def test_translation_invariance_of_energy(rng):

@@ -2,6 +2,7 @@ import cmath
 import functools
 import math
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -220,6 +221,60 @@ def test_radius_far_beyond_the_configuration():
     with pytest.raises(ValueError, match="out of floating-point range") as caught:
         correlation_A_eps(config, replace(spec, cutoff_radius=1e110))
     assert "cutoff radius 1e+110" in str(caught.value)
+
+
+def test_a_scale_beyond_two_to_the_500_is_rejected():
+    # integrals come back by 4^-k, so the frame takes the diameter's binade
+    # 2^k only for |k| <= 500: the collinear triple x1e155 and x1e-160 (k =
+    # 516 and -530) are rejected by every engine, naming the scale
+    base = collinear_triple()
+    for s, k in ((1e155, 516), (1e-160, -530)):
+        scaled = transform(base, Similarity(scale=s))
+        spec = default_quadrature_spec(scaled)
+        runs = (
+            lambda: _default_limit(scaled),
+            lambda: correlation_A_eps(scaled, spec),
+            lambda: pair_integral(0j, 2.0 * s, 0.1 * s, spec),
+        )
+        for run in runs:
+            with pytest.raises(ValueError, match=rf"coordinate scale 2\*\*{k} is out of"):
+                run()
+
+
+def test_a_framed_target_out_of_range_is_rejected():
+    # the 2D engine moves the target into the frame by 4^k; it must stay a
+    # positive float there
+    base = collinear_triple()
+    for s, target in ((1e-30, 1e-300), (1e30, 1e300)):
+        scaled = transform(base, Similarity(scale=s))
+        spec = replace(default_quadrature_spec(scaled), target_abs_error=target)
+        message = re.escape(f"puts the error target {target} out of")
+        with pytest.raises(ValueError, match=message):
+            correlation_A_eps(scaled, spec)
+
+
+def test_an_eps_too_small_for_the_contour_bound_is_rejected():
+    # near eps = 1e-110 the contour form's trapezoid bound leaves the
+    # floating-point range; the eps is named in the caller's units
+    base = collinear_triple()
+    spec = default_quadrature_spec(base)
+    assert not correlation_limit(base, [1e-90, 1e-91], spec).fit_degenerate
+    for s in (1.0, 2.0**-60):
+        config = transform(base, Similarity(scale=s))
+        message = re.escape(f"bound at excision radius {1e-110 * s} is not finite")
+        with pytest.raises(ValueError, match=message):
+            correlation_limit(config, [1e-100 * s, 1e-110 * s], default_quadrature_spec(config))
+
+
+def test_a_limit_out_of_float_range_is_rejected():
+    # A_eps grows like d^4 / s^2: circulations of 60 carry the collinear
+    # triple's A_eps past the float range at scale 1e-151 but not at 1e-150
+    def triple(s):
+        return VortexConfiguration.from_coordinates([(-s, 0, 60), (0, 0, -30), (s, 0, 60)])
+
+    assert math.isfinite(_default_limit(triple(1e-150)).extrapolation_error)
+    with pytest.raises(ValueError, match="is out of floating-point range"):
+        _default_limit(triple(1e-151))
 
 
 def test_two_radius_tail_consistency(cube_roots):
@@ -470,6 +525,9 @@ def test_correlation_limit_validates_epsilons():
         correlation_limit(collinear_triple(), [0.2], spec)
     with pytest.raises(ValueError):
         correlation_limit(collinear_triple(), [0.1, 0.2], spec)
+    for eps in ([0.2, 0.0], [0.2, -0.1]):
+        with pytest.raises(ValueError, match="epsilons must be positive"):
+            correlation_limit(collinear_triple(), eps, spec)
 
 
 # ------------------------------------------ contour estimates against 2D
@@ -586,7 +644,7 @@ def test_contour_sum_matches_the_exact_series(name):
     # the contour form of A_eps, which correlation_limit's estimates are,
     # against the independent eps-series; its bound covers the difference
     config = CONTOUR_CASES[name]()
-    frame, _, shrink = _frame(config, default_quadrature_spec(config))
+    frame, shrink = _frame(config)
     area = shrink * shrink
     for e in default_epsilon_list(config):
         value, trapezoid, rounding = _contour_A_eps(frame, e * shrink)
@@ -620,7 +678,7 @@ def test_correlation_limit_at_any_scale():
     # frame, for over a minute; the contour form meets the unit values
     am3 = config_from_adler_moser(adler_moser_chain(3, [1.0, 1.0]))
     unit = _default_limit(am3)
-    for s in (1e-12, 1e-9):
+    for s in (1e-12, 1e-9, 1e-150, 1e150):
         scaled = _default_limit(transform(am3, Similarity(scale=s)))
         limit, bar = scaled.extrapolated_limit * s * s, scaled.extrapolation_error * s * s
         assert limit == pytest.approx(unit.extrapolated_limit, rel=1e-6)
@@ -643,7 +701,7 @@ def test_finite_part_explains_the_gap_to_the_exact_series(n):
     # numerical equilibrium leave C(eps) - eps_series(eps) = F + O(eps^2).
     # The gap already lies within the contour bound, so only this sees F
     config = config_from_adler_moser(adler_moser_chain(n, [1.0] * (n - 1)))
-    frame, _, shrink = _frame(config, default_quadrature_spec(config))
+    frame, shrink = _frame(config)
     e = default_epsilon_list(config)[-1]
     gap = _contour_A_eps(frame, e * shrink)[0] * shrink * shrink - eps_series(config, e)
     assert abs(gap - finite_part(config)) <= 0.05 * abs(gap)
@@ -659,7 +717,7 @@ def test_remainder_after_the_finite_part_falls_like_eps_squared():
     for n in (3, 5, 8, 13, 21, 34, 50):
         for _ in range(2):
             config = random_configuration(rng, n, box=1.5 * math.sqrt(n))
-            frame, _, shrink = _frame(config, default_quadrature_spec(config))
+            frame, shrink = _frame(config)
             area = shrink * shrink
             alpha = -8.0 * math.pi * math.fsum(abs(f) ** 2 for f in forces(config))
             remainders = []
@@ -683,7 +741,7 @@ def test_contour_sum_matches_quadrature_off_equilibrium():
     ]
     for config in configs:
         spec = default_quadrature_spec(config)
-        frame, _, shrink = _frame(config, spec)
+        frame, shrink = _frame(config)
         area = shrink * shrink
         for e in default_epsilon_list(config):
             value, trapezoid, rounding = _contour_A_eps(frame, e * shrink)
@@ -718,7 +776,7 @@ def _quadrature_and_contour(config, fraction):
     spec = default_quadrature_spec(config)
     e = fraction * config.min_separation
     quadrature = correlation_A_eps(config, replace(spec, epsilon=e))
-    frame, _, shrink = _frame(config, spec)
+    frame, shrink = _frame(config)
     return quadrature, _contour_A_eps(frame, e * shrink)[0] * shrink * shrink
 
 
@@ -765,7 +823,7 @@ def test_generic_equilibrium_has_zero_finite_part(generic_n5):
     assert abs(finite_part(config)) <= 1e-12
     # the contour form, extrapolated as correlation_limit does, lands within
     # its model spread of F = 0
-    frame, _, shrink = _frame(config, default_quadrature_spec(config))
+    frame, shrink = _frame(config)
     eps = default_epsilon_list(config)
     alpha = -8.0 * math.pi * math.fsum(abs(f) ** 2 for f in forces(config))
     values = [_contour_A_eps(frame, e * shrink)[0] * shrink * shrink for e in eps]
@@ -824,4 +882,4 @@ def test_default_radius_is_four_in_the_frame():
     for config in configs:
         spec = default_quadrature_spec(config)
         assert spec.cutoff_radius == math.ldexp(4.0, math.frexp(config.diameter)[1])
-        assert _frame(config, spec)[1].cutoff_radius == 4.0
+        assert spec.cutoff_radius * _frame(config)[1] == 4.0

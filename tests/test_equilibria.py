@@ -217,6 +217,11 @@ def test_roots_overflowing_companion_raises_without_runtime_warning():
 # ----------------------------------------------------------- configurations
 
 
+def test_config_from_chain_needs_index_1():
+    with pytest.raises(ValueError, match="chain must reach index 1"):
+        config_from_adler_moser(adler_moser_chain(0))
+
+
 def test_config_from_chain_n1_single_vortex():
     config = config_from_adler_moser(adler_moser_chain(1))
     assert len(config) == 1
@@ -336,10 +341,16 @@ def test_refine_perturbed_collinear_middle():
 
 
 def test_refine_exact_input_returns_immediately():
-    out = refine_equilibrium(collinear_triple(), free=[0, 1, 2])
-    assert out.converged
-    assert out.iterations == 0
-    assert out.configuration == collinear_triple()
+    # forces scale like 1/scale, so the construction residual of AM n=3
+    # (about 4e-16) scaled by 1e-2 or 1e3 stays under the absolute 1e-12
+    am3 = config_from_adler_moser(adler_moser_chain(3, [1.0, 1.0]))
+    configs = [collinear_triple()]
+    configs += [transform(am3, Similarity(scale=s)) for s in (1e-2, 1e3)]
+    for config in configs:
+        out = refine_equilibrium(config, free=range(len(config)))
+        assert out.converged
+        assert out.iterations == 0
+        assert out.configuration == config
 
 
 def test_refine_all_free_with_gauge_fixing(rng):
@@ -420,6 +431,30 @@ def test_refine_respects_iteration_cap():
     assert out.iterations == 1
     assert out.message
     assert out.residual < residual(far)  # the best iterate improved
+
+
+def test_refine_stalls_below_rounding():
+    # a tolerance under the rounding floor of the forces: every step of the
+    # line search halves down to 1e-12 without a decrease, and the best
+    # iterate comes back with the stall named
+    am3 = config_from_adler_moser(adler_moser_chain(3, [1.0, 1.0]))
+    out = refine_equilibrium(am3, range(9), NewtonSettings(tolerance=1e-20))
+    assert not out.converged
+    assert out.message.startswith("line search stalled at residual")
+    assert out.iterations == len(out.residual_history) >= 1
+    assert out.residual == out.residual_history[-1] <= out.residual_history[0] < 1e-14
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the Newton tolerance is absolute: AM n=3 scaled by 1e-6 has a "
+    "construction residual of 3.9e-10, and refinement stalls at about 2.1e-10, "
+    "above the default 1e-12 (ROADMAP item 9)",
+)
+def test_refine_converges_at_scale_1e_minus_6():
+    am3 = config_from_adler_moser(adler_moser_chain(3, [1.0, 1.0]))
+    out = refine_equilibrium(transform(am3, Similarity(scale=1e-6)), range(9))
+    assert out.converged, out.message
 
 
 def test_refine_monotone_residual_history(rng):

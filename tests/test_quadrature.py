@@ -193,6 +193,26 @@ def test_nan_integrand_stops_unconverged():
     assert cells == start[2]
 
 
+def test_unresolvable_cells_freeze_and_the_budget_ends_the_run():
+    # a pole of 1/r^3 inside the disk: its cells shrink to the least splittable
+    # size and freeze, their error kept in the total; the run spends its budget
+    # and stops unconverged.  Splitting them further divides by zero, which
+    # the suite's warning filter turns into an error
+    pole = 0.5 + 0.3j
+    nearest = []
+
+    def f(z):
+        nearest.append(np.abs(z - pole).min())
+        return 1.0 / np.abs(z - pole) ** 3
+
+    value, err, cells, converged = integrate_excised_disk(f, [0j], 0.1, 2.0, 1e-6, 2000)
+    assert not converged
+    assert 2000 - 3 <= cells <= 2000
+    assert 1e-6 < err < math.inf
+    assert math.isfinite(value.real)
+    assert min(nearest) < 1e-9
+
+
 def test_excisions_must_fit_inside_domain():
     for center in (10.0 + 0j, 6.0 - 8.5j):
         with pytest.raises(ValueError, match="fit inside"):
