@@ -42,7 +42,7 @@ from .correlation import (
     pair_integral,
 )
 
-__version__ = "0.20.1"
+__version__ = "0.21.0"
 
 __all__ = [
     "__version__",

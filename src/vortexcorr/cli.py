@@ -126,12 +126,12 @@ def _load_config(path: str) -> tuple[VortexConfiguration, str | None]:
             raise CliFailure(
                 EXIT_USAGE, f"{path}: vortex {i} must be an object with keys x, y, d"
             )
-        try:
-            triples.append((float(row["x"]), float(row["y"]), float(row["d"])))
-        except (TypeError, ValueError) as exc:
-            raise CliFailure(
-                EXIT_USAGE, f"{path}: vortex {i} has a non-numeric field ({exc})"
-            ) from exc
+        # JSON numbers only: float() would also take true and "0"
+        values = [row[key] for key in "xyd"]
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+            message = f"vortex {i} has a non-numeric field {json.dumps(values)}"
+            raise CliFailure(EXIT_USAGE, f"{path}: {message}")
+        triples.append(tuple(float(v) for v in values))
     label = data.get("label")
     if label is not None and not isinstance(label, str):
         raise CliFailure(EXIT_USAGE, f"{path}: 'label' must be a string")
@@ -205,13 +205,11 @@ def cmd_correlation(
         if params.get("eps_list")
         else default_epsilon_list(config)
     )
-    spec = default_quadrature_spec(config)
-    report = correlation_limit(config, eps_values, spec)
+    report = correlation_limit(config, eps_values)
     converged_all = all(est.converged for est in report.estimates)
     payload = {
         "residual": residual(config),
         "epsilons": list(eps_values),
-        "cutoff_radius": spec.cutoff_radius,
         "estimates": [
             {"epsilon": e, **asdict(est)} for e, est in zip(report.epsilons, report.estimates)
         ],

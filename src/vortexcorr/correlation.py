@@ -24,9 +24,9 @@ that :func:`_frame` picks from the centroid and the diameter, so a
 configuration far from the origin, or at any scale within ``2^+-500``,
 meets the floating-point range of one of unit size.  Values and errors come
 back to the caller's units by a power-of-two factor, which is exact, and so
-do the lengths in the message when the holes do not fit: both engines
-reject an ``eps`` that leaves a hole no room or a hole outside ``B_R``, by
-the quadrature's one rule.
+do the lengths in a misfit's message.  Each engine owns its rule on
+``eps``: the 2D one rejects a hole with no room in ``B_R``, and
+:func:`correlation_limit` an ``eps`` of half the minimum separation or more.
 
 The pair kernel ``1/(conj(z-p)^2 (z-q)^2)`` integrates to zero over the
 plane minus eps-disks at ``p`` and ``q`` (the two-disk identity), which
@@ -39,6 +39,7 @@ turns the two-disk geometry into a round annulus.
 
 from __future__ import annotations
 
+import cmath
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -48,8 +49,7 @@ import numpy as np
 
 from .core import VortexConfiguration, forces
 from .rational import integrand_values
-from .quadrature import QuadratureResult, QuadratureSpec, integrate_excised_disk
-from .quadrature import _fit_holes, _Misfit
+from .quadrature import QuadratureResult, QuadratureSpec, _Misfit, integrate_excised_disk
 
 __all__ = [
     "MoebiusParams",
@@ -267,6 +267,8 @@ def _integrate(
     moved there by ``2^-k`` and the target, which must stay a positive float,
     by ``4^k``.  Returns ``(value with tail, error, tail, cells_used,
     converged)`` in the caller's units; a misfit names the caller's lengths.
+    Near a tiny hole the kernel overflows, unwarned: a value that is not
+    finite is a misfit too.
     """
     frame, shrink = _frame(config)
     eps, radius = spec.epsilon * shrink, spec.cutoff_radius * shrink
@@ -274,10 +276,12 @@ def _integrate(
     if not 0.0 < target < math.inf:
         message = f"the coordinate scale 2**{_binade(config)} puts the error target"
         raise ValueError(f"{message} {spec.target_abs_error} out of floating-point range")
-    with _caller_units(shrink):
+    with _caller_units(shrink), np.errstate(all="ignore"):
         raw, err, cells, converged = integrate_excised_disk(
             lambda zs: kernel(frame, zs), frame.positions, eps, radius, target, spec.max_cells
         )
+        if not cmath.isfinite(raw):
+            raise _Misfit("the 2D integral at excision radius {} is not finite", eps)
     exact, area = tail(frame, radius), shrink * shrink
     return (raw + exact) * area, err * area, exact * area, cells, converged
 
@@ -391,15 +395,18 @@ def _extrapolate(
 
 
 def correlation_limit(
-    config: VortexConfiguration, epsilons: Sequence[float], spec: QuadratureSpec
+    config: VortexConfiguration, epsilons: Sequence[float], spec: QuadratureSpec | None = None
 ) -> CorrelationReport:
     """Estimate ``lim A_eps`` from estimates over a shrinking eps-list.
 
     Every ``A_eps_i`` is the contour form :func:`_contour_A_eps` in the frame
     of :func:`_frame` with its trapezoid and rounding bound, all finite in
-    the caller's units, as are the limit and bar.  ``spec``'s target and cell
-    budget steer no run; its ``R`` sets only which ``eps`` fit: the largest
-    must leave every hole room in ``B_R``, with misfits in the caller's units.
+    the caller's units, as are the limit and bar.  The contour form's rule
+    on ``eps``: the largest must lie below half the minimum separation, so
+    the trapezoid factor ``sqrt(sep / eps)`` is at least ``sqrt(2)`` and the
+    node count stays bounded; a single vortex takes any positive ``eps``.
+    ``spec`` is ignored: ``bench/workloads.py`` still passes one, and the
+    parameter goes when the benchmark changes.
 
     For every configuration ``A_eps = alpha log eps + F + O(eps^2)`` with
     ``alpha = -2 pi sum_m |2 f_m|^2`` known from the forces: the circle
@@ -420,13 +427,13 @@ def correlation_limit(
             raise ValueError("epsilons must be strictly decreasing")
     if not eps[-1] > 0.0:
         raise ValueError("epsilons must be positive")
+    half = 0.5 * config.min_separation
+    if not eps[0] < half:
+        raise ValueError(f"excision radius {eps[0]} is not below half the separation, {half}")
     frame, shrink = _frame(config)
     area = shrink * shrink
     estimates = []
     with _caller_units(shrink):
-        # a single vortex has A_eps = 0 for every eps, as correlation_A_eps says
-        if len(frame) > 1:
-            _fit_holes(frame.positions, eps[0] * shrink, spec.cutoff_radius * shrink)
         for e in eps:
             value, trapezoid, rounding = _contour_A_eps(frame, e * shrink)
             estimates.append(QuadratureResult(value * area, (trapezoid + rounding) * area, 0.0, 0))

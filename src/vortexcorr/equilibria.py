@@ -18,7 +18,7 @@ last bits depend on the LAPACK build.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -137,21 +137,19 @@ def adler_moser_chain(n: int, parameters: Sequence[complex] = ()) -> AdlerMoserC
         )
     if not all(cmath.isfinite(t) for t in params):
         raise ValueError(f"chain parameters must be finite (got {params})")
-    polys = [(1 + 0j,)]
-    if n >= 1:
-        polys.append((0j, 1 + 0j))
+    chain = AdlerMoserChain(n, params, ((1 + 0j,), (0j, 1 + 0j))[: n + 1])
+    # each step is gated as it is built: the coefficients past a failing step
+    # grow until they overflow, and only the gate reports that
     for k in range(1, n):
-        polys.append(_next_chain_polynomial(polys[k - 1], polys[k], k, params[k - 1]))
-    chain = AdlerMoserChain(n=n, parameters=params, polynomials=tuple(polys))
-
-    for k, poly in enumerate(chain.polynomials):
-        expected = k * (k + 1) // 2
+        with np.errstate(all="ignore"):
+            poly = _next_chain_polynomial(*chain.polynomials[k - 1 :], k, params[k - 1])
+            chain = replace(chain, polynomials=(*chain.polynomials, poly))
+            defect = chain.wronskian_defect(k)
+        expected = (k + 1) * (k + 2) // 2
         if len(poly) - 1 != expected:
             raise ArithmeticError(
-                f"chain polynomial {k} has degree {len(poly) - 1}, expected {expected}"
+                f"chain polynomial {k + 1} has degree {len(poly) - 1}, expected {expected}"
             )
-    for k in range(1, n):
-        defect = chain.wronskian_defect(k)
         # a NaN defect fails the gate too
         if not defect <= 1e-10:
             raise ArithmeticError(

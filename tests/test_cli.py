@@ -768,6 +768,20 @@ CONTRACT_CASES = {
     "correlation-eps-1e-90": ("correlation", COLLINEAR_ROWS, 0, ["--eps-list", "1e-90,1e-91"]),
     "correlation-eps-1e-110": ("correlation", COLLINEAR_ROWS, 2, ["--eps-list", "1e-100,1e-110"]),
     "correlation-eps-1e-160": ("correlation", COLLINEAR_ROWS, 2, ["--eps-list", "1e-160,1e-170"]),
+    # the contour form takes any eps below half the separation
+    "correlation-eps-below-half-separation": (
+        "correlation",
+        COLLINEAR_ROWS,
+        0,
+        ["--eps-list", "0.49,0.1"],
+    ),
+    # the 2D value is not finite at a tiny eps: a usage error, not a budget
+    "pair-integral-eps-1e-200": (
+        "pair-integral",
+        None,
+        2,
+        ["--p", "0,0", "--q", "1,0", "--eps", "1e-200"],
+    ),
     "pair-integral-scale-1e120": (
         "pair-integral",
         None,
@@ -805,6 +819,13 @@ CONTRACT_CASES = {
         {"n": 8, "tau_list": "1,1,1,1,1,1,1"},
         4,
     ),
+    # the chain fails at its first failing step, before later steps overflow
+    "adler-moser-n20-chain-defect": (
+        "adler-moser",
+        None,
+        4,
+        ["--n", "20", "--tau-list", ",".join(["1"] * 19)],
+    ),
     "replay-refine-free-out-of-range": (
         "refine",
         {"free": "9", "tol": 1e-12, "max_iter": 50},
@@ -820,6 +841,9 @@ CONTRACT_CASES = {
     "config-vortices-not-a-list": ("energy", '{"vortices": {"x": 0}}', 2),
     "config-vortex-not-an-object": ("energy", '{"vortices": [[0, 0, 1]]}', 2),
     "config-non-numeric-field": ("check", '{"vortices": [{"x": "east", "y": 0, "d": 1}]}', 2),
+    # JSON numbers only: float() would take true as 1.0 and "0" as 0.0
+    "config-boolean-field": ("check", '{"vortices": [{"x": 0, "y": 0, "d": true}]}', 2),
+    "config-numeric-string-field": ("check", '{"vortices": [{"x": "0", "y": 0, "d": 1}]}', 2),
     "config-label-not-a-string": (
         "correlation",
         '{"vortices": [{"x": 0, "y": 0, "d": 1}], "label": 7}',
@@ -848,6 +872,10 @@ CONTRACT_MESSAGES = {
     "config-vortices-not-a-list": "'vortices' must be a list",
     "config-vortex-not-an-object": "vortex 0 must be an object with keys x, y, d",
     "config-non-numeric-field": "vortex 0 has a non-numeric field",
+    "config-boolean-field": "vortex 0 has a non-numeric field",
+    "config-numeric-string-field": "vortex 0 has a non-numeric field",
+    "pair-integral-eps-1e-200": "the 2D integral at excision radius 1e-200 is not finite",
+    "adler-moser-n20-chain-defect": "at step 7 exceeds 1e-10",
     "config-label-not-a-string": "'label' must be a string",
     "replay-not-a-manifest": "is not a run manifest",
     "adler-moser-out-unwritable": "error: cannot write",
@@ -913,15 +941,14 @@ def test_radius_is_not_an_option(capsys, collinear_file):
 
 @pytest.mark.parametrize("radius", ["0.5", "1.02"])
 def test_radius_errors_name_the_callers_lengths(capsys, tmp_path, radius):
-    # the quadrature checks the holes in the integration frame, a quarter of
-    # the collinear triple's units (room 0.25, R 4 there); its message
-    # restates the user's excision radius and lengths
+    # the contour form takes eps below half the separation, checked in the
+    # caller's units before the frame (a quarter of them) is taken; the 2D
+    # engine's room and cutoff radius play no part
     config = write_config(tmp_path / "collinear.json", COLLINEAR_ROWS)
     code, _, err = run_cli(capsys, "correlation", config, "--eps-list", f"{radius},0.4")
     assert code == 2
-    assert f"excision radius {radius} leaves no room" in err
-    assert "room 1.0," in err
-    assert "cutoff radius 16.0" in err
+    assert f"excision radius {radius} is not below half the separation, 0.5" in err
+    assert "cutoff radius" not in err
     assert "integration frame" not in err
 
 

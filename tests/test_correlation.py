@@ -266,6 +266,18 @@ def test_an_eps_too_small_for_the_contour_bound_is_rejected():
             correlation_limit(config, [1e-100 * s, 1e-110 * s], default_quadrature_spec(config))
 
 
+def test_an_eps_too_small_for_the_2d_engine_is_rejected():
+    # at tiny eps the kernels overflow near the holes: the 2D value is not
+    # finite, and the misfit names the caller's eps without a numpy warning
+    config = collinear_triple()
+    spec = default_quadrature_spec(config)
+    with pytest.raises(ValueError, match="2D integral at excision radius 1e-80 is not finite"):
+        correlation_A_eps(config, replace(spec, epsilon=1e-80))
+    pair = VortexConfiguration.from_pairs([(0j, 1.0), (1024.0, 1.0)])
+    with pytest.raises(ValueError, match="2D integral at excision radius 1e-197 is not finite"):
+        pair_integral(0j, 1024.0, 1e-197, default_quadrature_spec(pair))
+
+
 def test_a_limit_out_of_float_range_is_rejected():
     # A_eps grows like d^4 / s^2: circulations of 60 carry the collinear
     # triple's A_eps past the float range at scale 1e-151 but not at 1e-150
@@ -528,6 +540,73 @@ def test_correlation_limit_validates_epsilons():
     for eps in ([0.2, 0.0], [0.2, -0.1]):
         with pytest.raises(ValueError, match="epsilons must be positive"):
             correlation_limit(collinear_triple(), eps, spec)
+
+
+# correlation_limit at the default eps list, as version 0.20.1 computed it:
+# the limit, its bar and every estimate's (value, error)
+LIMIT_GOLDENS = {
+    "collinear": (
+        collinear_triple,
+        "-0x1.31771ba05ac00p-16",
+        "0x1.1b74352054f1bp-12",
+        [
+            ("-0x1.0f7081914c0c2p-2", "0x1.ffa7b92a882d8p-44"),
+            ("-0x1.1cc845a3ee3e0p-4", "0x1.abf2df10e468dp-45"),
+            ("-0x1.2053e89871fa7p-6", "0x1.08c0d70f0cb57p-45"),
+        ],
+    ),
+    "adler_moser_3": (
+        lambda: config_from_adler_moser(adler_moser_chain(3, [1.0, 1.0])),
+        "0x1.43f932bac5e00p-14",
+        "0x1.05954f54da460p-9",
+        [
+            ("0x1.ded34d137647cp-3", "0x1.1fc9ef67906f6p-38"),
+            ("0x1.51be62fcb135bp-4", "0x1.c4dd300d85f6fp-40"),
+            ("0x1.6b375d511a0d4p-6", "0x1.0538d75b79b8ap-40"),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIMIT_GOLDENS))
+def test_correlation_limit_golden_values(name):
+    build, limit, bar, estimates = LIMIT_GOLDENS[name]
+    config = build()
+    report = correlation_limit(config, default_epsilon_list(config))
+    assert report.extrapolated_limit.hex() == limit
+    assert report.extrapolation_error.hex() == bar
+    got = [(e.value.hex(), e.abs_error_estimate.hex()) for e in report.estimates]
+    assert got == estimates
+
+
+@pytest.mark.parametrize("name", sorted(LIMIT_GOLDENS))
+def test_correlation_limit_ignores_the_spec(name):
+    # the contour form has no truncation radius: any R, even one below the
+    # diameter, or no spec gives the same report
+    config = LIMIT_GOLDENS[name][0]()
+    eps = default_epsilon_list(config)
+    spec = default_quadrature_spec(config)
+    reports = [
+        correlation_limit(config, eps, replace(spec, cutoff_radius=r))
+        for r in (0.75 * config.diameter, spec.cutoff_radius, 1e100)
+    ]
+    assert all(report == correlation_limit(config, eps) for report in reports)
+
+
+@pytest.mark.parametrize("name", sorted(TWO_POINT_CASES))
+def test_correlation_limit_takes_eps_below_half_the_separation(name):
+    # sep / eps >= 2 keeps the trapezoid factor sqrt(sep / eps) at sqrt(2)
+    # or more; the rule is checked in the caller's units
+    config = TWO_POINT_CASES[name]
+    half = 0.5 * config.min_separation
+    message = re.escape(f"excision radius {half} is not below half the separation, {half}")
+    with pytest.raises(ValueError, match=message):
+        correlation_limit(config, [half, 0.2 * half])
+    report = correlation_limit(config, [f * half for f in (0.98, 0.49, 0.245)])
+    assert abs(report.extrapolated_limit) <= report.extrapolation_error
+    # one vortex has no separation and takes any positive eps
+    single = VortexConfiguration.from_pairs([(0.3, 2.0)])
+    assert correlation_limit(single, [10.0, 1.0]).extrapolated_limit == 0.0
 
 
 # ------------------------------------------ contour estimates against 2D

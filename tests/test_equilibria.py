@@ -59,6 +59,13 @@ def test_chain_defect_gate_fails_on_nan(monkeypatch):
         adler_moser_chain(3, [1.0, 1.0])
 
 
+def test_chain_gate_fails_at_the_first_failing_step():
+    # with every tau = 1 step 7 misses the gate; the steps after it would
+    # overflow, and tier-1 turns numpy's warnings into errors
+    with pytest.raises(ArithmeticError, match="recurrence defect .* at step 7 exceeds 1e-10"):
+        adler_moser_chain(20, [1.0] * 19)
+
+
 def test_chain_degree_gate_sees_a_vanished_leading_coefficient(monkeypatch):
     # P_1 = 1e-200 z squares to zero, so every coefficient above the tau
     # direction vanishes and the step comes back trimmed to degree 0

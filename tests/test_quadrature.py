@@ -180,6 +180,16 @@ def test_error_ledger_is_exact(rng):
     assert all(p == 0.0 for p in partials)
 
 
+def test_error_ledger_keeps_one_nan_for_a_non_finite_term():
+    # Shewchuk's recipe would add a NaN partial at every later call, so a
+    # starting mesh of 10,000 cells would take seconds once one error overflowed
+    for bad in (math.inf, -math.inf, math.nan):
+        partials = []
+        for x in [1.0, 1e-300, bad] + [2.0**-k for k in range(100)]:
+            _add(partials, x)
+        assert len(partials) == 1 and math.isnan(partials[0])
+
+
 def test_nan_integrand_stops_unconverged():
     # a NaN cell error never leaves the error total, so no split can meet the
     # target: the run stops on its starting mesh, unconverged and non-finite
