@@ -11,8 +11,8 @@ For every configuration ``A_eps = alpha log eps + F + O(eps^2)`` with
 ``alpha log eps`` and extrapolate in ``eps^2`` to ``F``, which is zero at
 an equilibrium.
 
-:func:`correlation_limit` takes every ``A_eps`` from its contour form
-(:func:`_contour_A_eps`): by Stokes' theorem ``A_eps`` is a sum of
+:func:`correlation_limit` takes every ``A_eps`` from one pass of its contour
+form (:func:`_contour_A_eps`): by Stokes' theorem ``A_eps`` is a sum of
 integrals over the ``eps``-circles, which the trapezoid rule evaluates to
 rounding with a proven bound, and no truncation radius or cell enters.
 :func:`correlation_A_eps` is the independent 2D check of the same values:
@@ -20,7 +20,8 @@ it truncates to a disk ``B_R``, integrates adaptively and adds the exact
 far-field tail.
 
 Every integral of a configuration runs in the frame ``(z - t) / 2^k``
-that :func:`_frame` picks from the centroid and the diameter, so a
+that :func:`_frame` picks from the centroid and the diameter (only the
+engine entries :func:`_integrate` and :func:`_contour_A_eps` frame), so a
 configuration far from the origin, or at any scale within ``2^+-500``,
 meets the floating-point range of one of unit size.  Values and errors come
 back to the caller's units by a power-of-two factor, which is exact, and so
@@ -41,9 +42,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -148,8 +148,11 @@ def _far_field_tail(frame: VortexConfiguration, radius: float) -> float:
     return float(total.real)
 
 
-def _contour_A_eps(frame: VortexConfiguration, epsilon: float) -> tuple[float, float, float]:
-    """``A_eps`` of a framed configuration by Stokes' theorem, with a bound.
+def _contour_A_eps(
+    config: VortexConfiguration, epsilons: Sequence[float]
+) -> tuple[list[QuadratureResult], float]:
+    """``A_eps`` by Stokes' theorem at each of ``epsilons``, with a bound, and
+    ``alpha``: one pass over ``config`` in the frame of :func:`_frame`.
 
     ``U = V phi^2 + sum_j d_j^4 / (conj(z-a_j) (z-a_j)^2)`` with ``V = -sum_j
     d_j^2/conj(z-a_j) + sum_j conj(g_j) log|z-a_j|^2`` has ``dU/dz-bar`` equal
@@ -165,16 +168,22 @@ def _contour_A_eps(frame: VortexConfiguration, epsilon: float) -> tuple[float, f
     that puts their sum below ``2^-53 pi S``, ``S`` bounding the summed
     magnitudes.
 
-    Returns ``(value, trapezoid, rounding)``: that bound, ``K`` bounded term
-    by term, and the first-order rounding estimate ``(N + M + 8) 2^-53 pi S``.
+    The eps-free forces, neighbour geometry and centre terms are built once.
+    Each error is that bound, ``K`` bounded term by term, plus the rounding
+    estimate ``(N + M + 8) 2^-53 pi S``; ``alpha = -2 pi sum_m |g_m|^2``.
+    All come back in the caller's units.
     """
+    frame, shrink = _frame(config)
+    area = shrink * shrink
+    frame_forces = forces(frame)
+    # from the frame's forces: those of a tiny configuration overflow when squared
+    alpha = -8.0 * math.pi * math.fsum(abs(f) ** 2 for f in frame_forces) * area
     n = len(frame)
     if n == 1:
         # no other vortex: U vanishes on the circle
-        return 0.0, 0.0, 0.0
-    a = np.asarray(frame.positions)
-    d = np.asarray(frame.circulations)
-    g = 2.0 * np.asarray(forces(frame))
+        return [QuadratureResult(0.0, 0.0, 0.0, 0) for _ in epsilons], alpha
+    a, d = np.asarray(frame.positions), np.asarray(frame.circulations)
+    g = 2.0 * np.asarray(frame_forces)
     # axes: circle m, node, the vortices j != m
     j = np.array([[k for k in range(n) if k != m] for m in range(n)])[:, None, :]
     b, dj, gj = a[j] - a[:, None, None], d[j], g[j]
@@ -189,32 +198,37 @@ def _contour_A_eps(frame: VortexConfiguration, epsilon: float) -> tuple[float, f
         squares = (dj**4 / room**3).sum(axis=(1, 2))
         return x * (v_max.sum(axis=(1, 2)) * phi_max**2 + squares)
 
-    s = math.sqrt(frame.min_separation / epsilon)
     # a tiny eps or huge circulations overflow the bounds: rejected below, unwarned
     with np.errstate(over="ignore", invalid="ignore"):
-        outer = math.fsum(k_max(epsilon * s, epsilon / s))
         centre_max = (dj * dj / dist + np.abs(gj * np.log(dist * dist))).sum(axis=(1, 2))
-        residue_max = np.abs(g) * (np.abs(g) * abs(math.log(epsilon * epsilon)) + centre_max)
-        # bounds every summed magnitude, on the circle and in the residues
-        scale = math.fsum(k_max(epsilon, epsilon) + residue_max)
-    excess = 2.0**54 * outer / scale
-    if not math.isfinite(excess):
-        raise _Misfit("the contour form's bound at excision radius {} is not finite", epsilon)
-    # the least node count whose trapezoid bound is below 2^-53 pi scale
-    nodes = math.ceil(math.log1p(excess) / math.log(s))
-    w = epsilon * np.exp(2j * math.pi / nodes * np.arange(nodes))
-
-    u, ratio = w[:, None] - b, w[:, None] / b
-    # V_m - V_m(a_m), with log|1 - w/b|^2 taken without rounding 1 - w/b
-    log = np.log1p(ratio.real * (ratio.real - 2.0) + ratio.imag**2)
-    v = (-dj * dj * np.conj(ratio) / np.conj(u) + np.conj(gj) * log).sum(axis=2)
-    phi = d[:, None] / w + (dj / u).sum(axis=2)
-    f = (v * phi * phi + (dj**4 / (np.conj(u) * u * u)).sum(axis=2)) * w
-    centre = (dj * dj / np.conj(b) + np.conj(gj) * np.log(dist * dist)).sum(axis=(1, 2))
-    residue = (np.conj(g) * math.log(epsilon * epsilon) + centre) * g
-    value = -math.pi * float((f.mean(axis=1) + residue).sum().real)
-    trapezoid = 2.0 * math.pi * outer / (s**nodes - 1.0)
-    return value, trapezoid, (n + nodes + 8) * 2.0**-53 * math.pi * scale
+        centre = (dj * dj / np.conj(b) + np.conj(gj) * np.log(dist * dist)).sum(axis=(1, 2))
+    estimates = []
+    for e in epsilons:
+        epsilon = e * shrink
+        s = math.sqrt(frame.min_separation / epsilon)
+        with np.errstate(over="ignore", invalid="ignore"):
+            outer = math.fsum(k_max(epsilon * s, epsilon / s))
+            residue_max = np.abs(g) * (np.abs(g) * abs(math.log(epsilon * epsilon)) + centre_max)
+            # bounds every summed magnitude, on the circle and in the residues
+            scale = math.fsum(k_max(epsilon, epsilon) + residue_max)
+        excess = 2.0**54 * outer / scale
+        if not math.isfinite(excess):
+            raise ValueError(f"the contour form's bound at excision radius {e} is not finite")
+        # the least node count whose trapezoid bound is below 2^-53 pi scale
+        nodes = math.ceil(math.log1p(excess) / math.log(s))
+        w = epsilon * np.exp(2j * math.pi / nodes * np.arange(nodes))
+        u, ratio = w[:, None] - b, w[:, None] / b
+        # V_m - V_m(a_m), with log|1 - w/b|^2 taken without rounding 1 - w/b
+        log = np.log1p(ratio.real * (ratio.real - 2.0) + ratio.imag**2)
+        v = (-dj * dj * np.conj(ratio) / np.conj(u) + np.conj(gj) * log).sum(axis=2)
+        phi = d[:, None] / w + (dj / u).sum(axis=2)
+        f = (v * phi * phi + (dj**4 / (np.conj(u) * u * u)).sum(axis=2)) * w
+        residue = (np.conj(g) * math.log(epsilon * epsilon) + centre) * g
+        value = -math.pi * float((f.mean(axis=1) + residue).sum().real)
+        trapezoid = 2.0 * math.pi * outer / (s**nodes - 1.0)
+        rounding = (n + nodes + 8) * 2.0**-53 * math.pi * scale
+        estimates.append(QuadratureResult(value * area, (trapezoid + rounding) * area, 0.0, 0))
+    return estimates, alpha
 
 
 def _binade(config: VortexConfiguration) -> int:
@@ -246,16 +260,6 @@ def _frame(config: VortexConfiguration) -> tuple[VortexConfiguration, float]:
     return frame, shrink
 
 
-@contextmanager
-def _caller_units(shrink: float) -> Iterator[None]:
-    """Restate a misfit of framed lengths in the caller's units."""
-    try:
-        yield
-    except _Misfit as misfit:
-        template, *lengths = misfit.args
-        raise _Misfit(template, *(x / shrink for x in lengths)) from None
-
-
 def _integrate(
     config: VortexConfiguration,
     spec: QuadratureSpec,
@@ -268,7 +272,7 @@ def _integrate(
     by ``4^k``.  Returns ``(value with tail, error, tail, cells_used,
     converged)`` in the caller's units; a misfit names the caller's lengths.
     Near a tiny hole the kernel overflows, unwarned: a value that is not
-    finite is a misfit too.
+    finite is rejected too, naming the caller's eps.
     """
     frame, shrink = _frame(config)
     eps, radius = spec.epsilon * shrink, spec.cutoff_radius * shrink
@@ -276,12 +280,16 @@ def _integrate(
     if not 0.0 < target < math.inf:
         message = f"the coordinate scale 2**{_binade(config)} puts the error target"
         raise ValueError(f"{message} {spec.target_abs_error} out of floating-point range")
-    with _caller_units(shrink), np.errstate(all="ignore"):
-        raw, err, cells, converged = integrate_excised_disk(
-            lambda zs: kernel(frame, zs), frame.positions, eps, radius, target, spec.max_cells
-        )
-        if not cmath.isfinite(raw):
-            raise _Misfit("the 2D integral at excision radius {} is not finite", eps)
+    try:
+        with np.errstate(all="ignore"):
+            raw, err, cells, converged = integrate_excised_disk(
+                lambda zs: kernel(frame, zs), frame.positions, eps, radius, target, spec.max_cells
+            )
+    except _Misfit as misfit:
+        template, *lengths = misfit.args
+        raise _Misfit(template, *(x / shrink for x in lengths)) from None
+    if not cmath.isfinite(raw):
+        raise ValueError(f"the 2D integral at excision radius {spec.epsilon} is not finite")
     exact, area = tail(frame, radius), shrink * shrink
     return (raw + exact) * area, err * area, exact * area, cells, converged
 
@@ -385,9 +393,12 @@ def _extrapolate(
     Fits through the last (up to three) points and returns ``(limit,
     amplification, spread)``: the sum of absolute Lagrange weights, and the
     model spread, the change in the limit when the first point is dropped.
+    ``x`` is ``(eps 2^-k)^2``, ``2^k`` the first fitted eps's binade: that keeps
+    every Lagrange ratio's bits, and a huge eps does not overflow squared.
     """
     use = min(3, len(epsilons))
-    xs = [e * e for e in epsilons[-use:]]
+    k = math.frexp(epsilons[-use])[1]
+    xs = [x * x for x in (math.ldexp(e, -k) for e in epsilons[-use:])]
     ys = [v - alpha * math.log(e) for v, e in zip(values[-use:], epsilons[-use:])]
     limit, amplification = _lagrange_at_zero(xs, ys)
     shallow, _ = _lagrange_at_zero(xs[1:], ys[1:])
@@ -399,9 +410,9 @@ def correlation_limit(
 ) -> CorrelationReport:
     """Estimate ``lim A_eps`` from estimates over a shrinking eps-list.
 
-    Every ``A_eps_i`` is the contour form :func:`_contour_A_eps` in the frame
-    of :func:`_frame` with its trapezoid and rounding bound, all finite in
-    the caller's units, as are the limit and bar.  The contour form's rule
+    Every ``A_eps_i``, and ``alpha``, comes from one pass of the contour form
+    :func:`_contour_A_eps`, with its trapezoid and rounding bound, all finite
+    in the caller's units, as are the limit and bar.  The contour form's rule
     on ``eps``: the largest must lie below half the minimum separation, so
     the trapezoid factor ``sqrt(sep / eps)`` is at least ``sqrt(2)`` and the
     node count stays bounded; a single vortex takes any positive ``eps``.
@@ -430,17 +441,7 @@ def correlation_limit(
     half = 0.5 * config.min_separation
     if not eps[0] < half:
         raise ValueError(f"excision radius {eps[0]} is not below half the separation, {half}")
-    frame, shrink = _frame(config)
-    area = shrink * shrink
-    estimates = []
-    with _caller_units(shrink):
-        for e in eps:
-            value, trapezoid, rounding = _contour_A_eps(frame, e * shrink)
-            estimates.append(QuadratureResult(value * area, (trapezoid + rounding) * area, 0.0, 0))
-
-    # alpha in the caller's units, from the frame's forces: those of a tiny
-    # configuration would overflow when squared
-    alpha = -8.0 * math.pi * math.fsum(abs(f) ** 2 for f in forces(frame)) * area
+    estimates, alpha = _contour_A_eps(config, eps)
     limit, amplification, spread = _extrapolate(eps, [est.value for est in estimates], alpha)
     bar = amplification * max(est.abs_error_estimate for est in estimates[-3:]) + spread
     sizes = [abs(est.value) + est.abs_error_estimate for est in estimates] + [abs(limit) + bar]

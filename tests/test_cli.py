@@ -775,6 +775,13 @@ CONTRACT_CASES = {
         0,
         ["--eps-list", "0.49,0.1"],
     ),
+    # one vortex takes any positive eps, even one whose square overflows
+    "correlation-single-vortex-eps-1e300": (
+        "correlation",
+        [(0.0, 0.0, 1.0)],
+        0,
+        ["--eps-list", "1e300,1"],
+    ),
     # the 2D value is not finite at a tiny eps: a usage error, not a budget
     "pair-integral-eps-1e-200": (
         "pair-integral",
@@ -844,6 +851,12 @@ CONTRACT_CASES = {
     # JSON numbers only: float() would take true as 1.0 and "0" as 0.0
     "config-boolean-field": ("check", '{"vortices": [{"x": 0, "y": 0, "d": true}]}', 2),
     "config-numeric-string-field": ("check", '{"vortices": [{"x": "0", "y": 0, "d": 1}]}', 2),
+    # a JSON integer beyond the float range: a usage error, not a numeric one
+    "config-integer-out-of-range": (
+        "check",
+        '{"vortices": [{"x": 1' + "0" * 400 + ', "y": 0, "d": 1}]}',
+        2,
+    ),
     "config-label-not-a-string": (
         "correlation",
         '{"vortices": [{"x": 0, "y": 0, "d": 1}], "label": 7}',
@@ -874,6 +887,7 @@ CONTRACT_MESSAGES = {
     "config-non-numeric-field": "vortex 0 has a non-numeric field",
     "config-boolean-field": "vortex 0 has a non-numeric field",
     "config-numeric-string-field": "vortex 0 has a non-numeric field",
+    "config-integer-out-of-range": "vortex 0 has a field out of floating-point range",
     "pair-integral-eps-1e-200": "the 2D integral at excision radius 1e-200 is not finite",
     "adler-moser-n20-chain-defect": "at step 7 exceeds 1e-10",
     "config-label-not-a-string": "'label' must be a string",

@@ -604,9 +604,29 @@ def test_correlation_limit_takes_eps_below_half_the_separation(name):
         correlation_limit(config, [half, 0.2 * half])
     report = correlation_limit(config, [f * half for f in (0.98, 0.49, 0.245)])
     assert abs(report.extrapolated_limit) <= report.extrapolation_error
-    # one vortex has no separation and takes any positive eps
+    # one vortex has no separation and takes any positive eps, even one whose
+    # square overflows: at 0.21.0 the fit squared 1e300 and the limit was out
+    # of floating-point range
     single = VortexConfiguration.from_pairs([(0.3, 2.0)])
-    assert correlation_limit(single, [10.0, 1.0]).extrapolated_limit == 0.0
+    for eps in ([10.0, 1.0], [1e300, 1.0], [1e200, 1e100, 1.0]):
+        report = correlation_limit(single, eps)
+        assert report.extrapolated_limit == report.extrapolation_error == 0.0
+        assert all(est.value == est.abs_error_estimate == 0.0 for est in report.estimates)
+
+
+def test_correlation_limit_takes_the_forces_once(monkeypatch):
+    # alpha and every eps share the contour pass's one forces call; 0.21.0
+    # made one per eps and one more for alpha
+    calls = []
+
+    def counted(config):
+        calls.append(config)
+        return forces(config)
+
+    monkeypatch.setattr("vortexcorr.correlation.forces", counted)
+    am3 = config_from_adler_moser(adler_moser_chain(3, [1.0, 1.0]))
+    correlation_limit(am3, default_epsilon_list(am3))
+    assert len(calls) == 1
 
 
 # ------------------------------------------ contour estimates against 2D
@@ -723,13 +743,25 @@ def test_contour_sum_matches_the_exact_series(name):
     # the contour form of A_eps, which correlation_limit's estimates are,
     # against the independent eps-series; its bound covers the difference
     config = CONTOUR_CASES[name]()
-    frame, shrink = _frame(config)
-    area = shrink * shrink
-    for e in default_epsilon_list(config):
-        value, trapezoid, rounding = _contour_A_eps(frame, e * shrink)
+    eps = default_epsilon_list(config)
+    for e, est in zip(eps, _contour_A_eps(config, eps)[0]):
         exact = eps_series(config, e)
-        assert abs(value * area - exact) <= 1e-10 * abs(exact)
-        assert abs(value * area - exact) <= (trapezoid + rounding) * area
+        assert abs(est.value - exact) <= 1e-10 * abs(exact)
+        assert abs(est.value - exact) <= est.abs_error_estimate
+
+
+@pytest.mark.parametrize("name", sorted(CONTOUR_CASES))
+def test_contour_pass_keeps_the_bits_of_single_eps_calls(name):
+    # the eps-free geometry is built once per configuration, and no estimate
+    # depends on the other eps of the list
+    config = CONTOUR_CASES[name]()
+    eps = default_epsilon_list(config)
+    estimates, alpha = _contour_A_eps(config, eps)
+    for e, est in zip(eps, estimates):
+        [alone], alone_alpha = _contour_A_eps(config, [e])
+        assert alone.value.hex() == est.value.hex()
+        assert alone.abs_error_estimate.hex() == est.abs_error_estimate.hex()
+        assert alone_alpha.hex() == alpha.hex()
 
 
 @pytest.mark.parametrize("name", sorted(CONTOUR_CASES))
@@ -780,9 +812,8 @@ def test_finite_part_explains_the_gap_to_the_exact_series(n):
     # numerical equilibrium leave C(eps) - eps_series(eps) = F + O(eps^2).
     # The gap already lies within the contour bound, so only this sees F
     config = config_from_adler_moser(adler_moser_chain(n, [1.0] * (n - 1)))
-    frame, shrink = _frame(config)
     e = default_epsilon_list(config)[-1]
-    gap = _contour_A_eps(frame, e * shrink)[0] * shrink * shrink - eps_series(config, e)
+    gap = _contour_A_eps(config, [e])[0][0].value - eps_series(config, e)
     assert abs(gap - finite_part(config)) <= 0.05 * abs(gap)
 
 
@@ -796,15 +827,12 @@ def test_remainder_after_the_finite_part_falls_like_eps_squared():
     for n in (3, 5, 8, 13, 21, 34, 50):
         for _ in range(2):
             config = random_configuration(rng, n, box=1.5 * math.sqrt(n))
-            frame, shrink = _frame(config)
-            area = shrink * shrink
             alpha = -8.0 * math.pi * math.fsum(abs(f) ** 2 for f in forces(config))
             remainders = []
-            for fraction in (1e-2, 1e-3, 1e-4):
-                e = fraction * config.min_separation
-                value, trapezoid, rounding = _contour_A_eps(frame, e * shrink)
-                remainder = value * area - alpha * math.log(e) - finite_part(config)
-                assert abs(remainder) > 100.0 * (trapezoid + rounding) * area
+            eps = [fraction * config.min_separation for fraction in (1e-2, 1e-3, 1e-4)]
+            for e, est in zip(eps, _contour_A_eps(config, eps)[0]):
+                remainder = est.value - alpha * math.log(e) - finite_part(config)
+                assert abs(remainder) > 100.0 * est.abs_error_estimate
                 remainders.append(remainder)
             ratios += [r / r_next for r, r_next in zip(remainders, remainders[1:])]
     assert len(ratios) == 28
@@ -820,14 +848,12 @@ def test_contour_sum_matches_quadrature_off_equilibrium():
     ]
     for config in configs:
         spec = default_quadrature_spec(config)
-        frame, shrink = _frame(config)
-        area = shrink * shrink
-        for e in default_epsilon_list(config):
-            value, trapezoid, rounding = _contour_A_eps(frame, e * shrink)
+        eps = default_epsilon_list(config)
+        for e, est in zip(eps, _contour_A_eps(config, eps)[0]):
             quadrature = correlation_A_eps(config, replace(spec, epsilon=e))
             assert quadrature.converged
-            bar = quadrature.abs_error_estimate + (trapezoid + rounding) * area
-            assert abs(value * area - quadrature.value) <= bar
+            bar = quadrature.abs_error_estimate + est.abs_error_estimate
+            assert abs(est.value - quadrature.value) <= bar
 
 
 def _scattered(seed, count, box, separations):
@@ -855,8 +881,7 @@ def _quadrature_and_contour(config, fraction):
     spec = default_quadrature_spec(config)
     e = fraction * config.min_separation
     quadrature = correlation_A_eps(config, replace(spec, epsilon=e))
-    frame, shrink = _frame(config)
-    return quadrature, _contour_A_eps(frame, e * shrink)[0] * shrink * shrink
+    return quadrature, _contour_A_eps(config, [e])[0][0].value
 
 
 def test_error_estimate_covers_the_contour_value(generic_n5):
@@ -902,10 +927,9 @@ def test_generic_equilibrium_has_zero_finite_part(generic_n5):
     assert abs(finite_part(config)) <= 1e-12
     # the contour form, extrapolated as correlation_limit does, lands within
     # its model spread of F = 0
-    frame, shrink = _frame(config)
     eps = default_epsilon_list(config)
     alpha = -8.0 * math.pi * math.fsum(abs(f) ** 2 for f in forces(config))
-    values = [_contour_A_eps(frame, e * shrink)[0] * shrink * shrink for e in eps]
+    values = [est.value for est in _contour_A_eps(config, eps)[0]]
     limit, _, spread = _extrapolate(eps, values, alpha)
     assert abs(limit) <= spread
 
