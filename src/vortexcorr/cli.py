@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -324,6 +325,8 @@ def _run(command: str, params: dict) -> tuple[dict, int]:
     return _strict_json(payload), code
 
 
+# built on the first call and kept: a parse leaves the parser as it was
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vortexcorr",

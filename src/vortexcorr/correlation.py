@@ -442,6 +442,9 @@ def correlation_limit(
     if not eps[0] < half:
         raise ValueError(f"excision radius {eps[0]} is not below half the separation, {half}")
     estimates, alpha = _contour_A_eps(config, eps)
+    if len(config) == 1:
+        # every estimate is exactly 0, so the limit and bar are too, unfitted
+        return CorrelationReport(tuple(eps), tuple(estimates), 0.0, 0.0)
     limit, amplification, spread = _extrapolate(eps, [est.value for est in estimates], alpha)
     bar = amplification * max(est.abs_error_estimate for est in estimates[-3:]) + spread
     sizes = [abs(est.value) + est.abs_error_estimate for est in estimates] + [abs(limit) + bar]

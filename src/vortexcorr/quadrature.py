@@ -47,10 +47,11 @@ fixed and every reduction is correctly rounded, so results are bit-for-bit
 reproducible.
 
 Cells are estimated in batches from one region, with one call of ``f`` on
-all the batch's nodes: the starting cells one ring (the angular panels of
-one radial interval) at a time, and the children of a round region by
-region, in region order and then pop order, so one call takes at most 32
-cells (5,440 nodes).  Every node and per-cell sum is formed exactly as for
+all the batch's nodes, and one rule sizes every batch, the starting mesh's
+included: at most 32 cells (5,440 nodes), the children of one round.  The
+starting cells go in mesh order, in consecutive runs of at most 32 from one
+region; the children of a round go region by region, in region order and
+then pop order.  Every node and per-cell sum is formed exactly as for
 a single cell, so batching changes no cell's bits.  It changes which cells
 are split: a round splits its eight cells before it sees their children,
 so it can split a cell that one split at a time would have left alone,
@@ -87,8 +88,8 @@ _MIN_REL_CELL = 1e-9
 # Largest truncation radius, with a wide margin: from 2**512 on the polar cell
 # weights r dr dtheta leave the floating-point range.
 _MAX_RADIUS = 2.0**340
-# cells split per refinement round; their children, at most 32 cells and 5,440
-# nodes, go to f in one call per region
+# cells split per refinement round; their children, 4 _BATCH = 32 cells and
+# 5,440 nodes, are the most that one call of f takes
 _BATCH = 8
 
 
@@ -350,12 +351,13 @@ def _adaptive(
             seq += 1
             _add(partials, err)
 
-    # one batch per ring: a whole region at once would hold its full node set
-    # (and f's per-node temporaries) in memory
-    for (region_idx, _), ring in itertools.groupby(
-        first_cells, key=lambda item: (item[0], item[1][:2])
-    ):
-        push(region_idx, [cell for _, cell in ring])
+    # the starting cells region by region in runs of at most 4 _BATCH, the
+    # size of a round's children: a whole region at once would hold its full
+    # node set (and f's per-node temporaries) in memory
+    for region_idx, run in itertools.groupby(first_cells, key=lambda item: item[0]):
+        cells = [cell for _, cell in run]
+        for i in range(0, len(cells), 4 * _BATCH):
+            push(region_idx, cells[i : i + 4 * _BATCH])
 
     # a non-finite cell error never leaves the total, so no split can bring it
     # to the target; a run stopped by the budget ends above the target

@@ -1,3 +1,4 @@
+import argparse
 import cmath
 import json
 import math
@@ -18,7 +19,7 @@ from vortexcorr import (
     energy,
     residual,
 )
-from vortexcorr.cli import main
+from vortexcorr.cli import build_parser, main
 
 from conftest import GENERIC_N5
 from oracles import finite_part
@@ -734,6 +735,77 @@ def test_usage_error_exit_2(capsys):
     assert code == 2
 
 
+def test_main_builds_the_parser_once(capsys, collinear_file, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    build_parser.cache_clear()
+    assert run_cli(capsys, "check", collinear_file)[0] == 0
+    first = len(built)
+    assert first > 0
+    for argv in (["energy", collinear_file], ["no-such-command"], ["--version"]):
+        run_cli(capsys, *argv)
+    assert len(built) == first
+
+
+def test_interleaved_commands_match_their_solo_runs(capsys, collinear_file, tmp_path):
+    # the parser built by one call serves the next as a fresh one would
+    manifest = str(tmp_path / "run.json")
+    runs = [
+        ["no-such-command"],
+        ["correlation", collinear_file, "--manifest", manifest],
+        ["replay", manifest],
+        ["--version"],
+        ["correlation", "--help"],
+    ]
+    solo = []
+    for argv in runs:
+        build_parser.cache_clear()
+        solo.append(run_cli(capsys, *argv))
+    assert [code for code, _, _ in solo] == [2, 0, 0, 0, 0]
+    build_parser.cache_clear()
+    assert [run_cli(capsys, *argv) for argv in runs] == solo
+
+
+def _parser_state(parser):
+    """Copies of the defaults and of every action's fields, subparsers' too."""
+    state = [dict(parser._defaults)]
+    for action in parser._actions:
+        state.append(
+            {
+                key: dict(v) if isinstance(v, dict) else list(v) if isinstance(v, list) else v
+                for key, v in vars(action).items()
+            }
+        )
+        if isinstance(action, argparse._SubParsersAction):
+            state.extend(_parser_state(p) for p in action.choices.values())
+    return state
+
+
+def test_a_parse_leaves_the_parser_unchanged(capsys, collinear_file, tmp_path):
+    # one parser serves every call, so no parse may change it
+    parser = build_parser()
+    before = _parser_state(parser)
+    manifest = str(tmp_path / "run.json")
+    for argv in (
+        ["correlation", collinear_file, "--eps-list", "0.2,0.1", "--manifest", manifest],
+        ["replay", manifest],
+        ["check", collinear_file, "--tol", "1e-3"],
+        ["refine", collinear_file, "--free", "1", "--max-iter", "2"],
+        ["pair-integral", "--p", "0,0", "--q", "1,0", "--eps", "0.1", "--target-error", "1e-3"],
+        ["check", collinear_file, "--tol", "-1"],
+        ["correlation", "--help"],
+    ):
+        run_cli(capsys, *argv)
+    assert build_parser() is parser
+    assert _parser_state(parser) == before
+
+
 # --------------------------------------------------- exit-code contract sweep
 
 COLLINEAR_ROWS = [(-1.0, 0.0, 1.0), (0.0, 0.0, -0.5), (1.0, 0.0, 1.0)]
@@ -781,6 +853,13 @@ CONTRACT_CASES = {
         [(0.0, 0.0, 1.0)],
         0,
         ["--eps-list", "1e300,1"],
+    ),
+    # ... and eps whose fitted squares underflow: no fit, exact zeros
+    "correlation-single-vortex-eps-1e-180": (
+        "correlation",
+        [(0.3, 0.0, 2.0)],
+        0,
+        ["--eps-list", "1,1e-170,1e-180"],
     ),
     # the 2D value is not finite at a tiny eps: a usage error, not a budget
     "pair-integral-eps-1e-200": (

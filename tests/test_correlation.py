@@ -606,9 +606,10 @@ def test_correlation_limit_takes_eps_below_half_the_separation(name):
     assert abs(report.extrapolated_limit) <= report.extrapolation_error
     # one vortex has no separation and takes any positive eps, even one whose
     # square overflows: at 0.21.0 the fit squared 1e300 and the limit was out
-    # of floating-point range
+    # of floating-point range; or two whose fitted squares underflow to 0,
+    # which divided by zero at 0.21.1
     single = VortexConfiguration.from_pairs([(0.3, 2.0)])
-    for eps in ([10.0, 1.0], [1e300, 1.0], [1e200, 1e100, 1.0]):
+    for eps in ([10.0, 1.0], [1e300, 1.0], [1e200, 1e100, 1.0], [1.0, 1e-170, 1e-180]):
         report = correlation_limit(single, eps)
         assert report.extrapolated_limit == report.extrapolation_error == 0.0
         assert all(est.value == est.abs_error_estimate == 0.0 for est in report.estimates)

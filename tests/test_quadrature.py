@@ -4,16 +4,22 @@ import math
 import numpy as np
 import pytest
 
-from vortexcorr.correlation import pair_integral
+import vortexcorr.correlation as correlation
+from vortexcorr.core import VortexConfiguration
+from vortexcorr.correlation import correlation_A_eps, default_quadrature_spec, pair_integral
 from vortexcorr.quadrature import (
     QuadratureResult,
     QuadratureSpec,
     _add,
+    _background_cells,
+    _cell_estimates,
     _cutoff,
     _hole_weight,
+    _Region,
     _smooth_step,
     integrate_excised_disk,
 )
+from vortexcorr.rational import integrand_values
 
 from conftest import random_configuration
 from oracles import pair_kernel_over_disk
@@ -293,3 +299,90 @@ def test_bit_exact_golden_values():
         144,
         True,
     )
+
+
+# the non-equilibrium triple of the benchmark's corr-small workload
+MOVED_TRIPLE = VortexConfiguration.from_pairs([(-1.0, 1.0), (0.05j, -0.5), (1.0, 1.0)])
+
+
+def _hex(values):
+    return [(complex(v).real.hex(), complex(v).imag.hex()) for v in values]
+
+
+def test_one_call_on_32_cells_keeps_every_bit(rng):
+    # the starting mesh goes to f in runs of up to 32 cells: each cell's
+    # value and error must not depend on the cells estimated beside it
+    centers = np.array(MOVED_TRIPLE.positions)
+    gaps = np.abs(centers[:, None] - centers)
+    np.fill_diagonal(gaps, np.inf)
+    supports = 0.49 * gaps.min(axis=1)
+    holes = centers, np.full(3, 0.105), supports
+    a, b = centers[0], centers[2]
+    kernels = {
+        "integrand": lambda zs: integrand_values(MOVED_TRIPLE, zs),
+        "pair": lambda zs: (1.0 / (np.conj(zs - a) * (zs - b))) ** 2,
+    }
+    regions = {
+        # a patch's cells run from its plateau out past its support
+        "patch": (_Region(complex(a), 0.105, float(supports[0])), 0.1, float(supports[0])),
+        "background": (_Region(0j, holes=holes), 0.0, 4.0),
+    }
+    for kernel in kernels.values():
+        for region, inner, outer in regions.values():
+            r = np.sort(rng.uniform(inner, outer, (32, 2)), axis=1)
+            t = np.sort(rng.uniform(0.0, 2.0 * np.pi, (32, 2)), axis=1)
+            cells = [(r0, r1, t0, t1) for (r0, r1), (t0, t1) in zip(r.tolist(), t.tolist())]
+            values, errs = _cell_estimates(kernel, region, cells)
+            alone = [_cell_estimates(kernel, region, [cell]) for cell in cells]
+            assert _hex(values) == _hex(v[0] for v, _ in alone)
+            assert [e.hex() for e in errs] == [e[0].hex() for _, e in alone]
+
+
+@pytest.fixture
+def f_calls(monkeypatch):
+    """The node count of every call of ``f`` by the 2D engine of ``correlation``."""
+    calls = []
+
+    def counted(f, *args):
+        def g(zs):
+            calls.append(zs.size)
+            return f(zs)
+
+        return integrate_excised_disk(g, *args)
+
+    monkeypatch.setattr(correlation, "integrate_excised_disk", counted)
+    return calls
+
+
+def test_starting_mesh_goes_to_f_in_round_sized_batches(f_calls):
+    # one ring per call took 19 calls for the pair and 20-21 for A_eps; runs
+    # of up to 32 cells take 8 and 9 with the same cells and bits
+    spec = QuadratureSpec(epsilon=0.1, cutoff_radius=100.0, target_abs_error=1e-6)
+    res = pair_integral(0j, cmath.exp(0.7j), 0.1, spec)
+    assert res.converged and len(f_calls) == 8
+    f_calls.clear()
+    res = correlation_A_eps(MOVED_TRIPLE, default_quadrature_spec(MOVED_TRIPLE))
+    assert res.converged and len(f_calls) == 9
+    assert max(f_calls) <= 32 * 170
+
+
+def test_no_call_of_f_takes_more_than_32_cells():
+    # a small hole far out: its angular alignment bisects each ring it meets
+    # into more than 32 cells, which once went to f whole
+    center, eps, radius = 999.9 + 0j, 0.01, 1000.0
+    support = 0.49 * 2.0 * (radius - abs(center))
+    patch = _Region(center, 1.05 * eps, support)
+    rings = {}
+    for _, (r0, r1, _, _) in _background_cells(1, [patch], radius):
+        rings[r0, r1] = rings.get((r0, r1), 0) + 1
+    assert max(rings.values()) > 32
+    calls = []
+
+    def f(zs):
+        calls.append(zs.size)
+        return np.ones(zs.shape)
+
+    value, err, cells, converged = integrate_excised_disk(f, [center], eps, radius, 1e-3, 10**4)
+    assert converged
+    assert abs(value.real - math.pi * (radius**2 - eps**2)) <= err
+    assert max(calls) <= 32 * 170
