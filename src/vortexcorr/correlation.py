@@ -176,12 +176,10 @@ def _contour_A_eps(
     frame, shrink = _frame(config)
     area = shrink * shrink
     frame_forces = forces(frame)
-    # from the frame's forces: those of a tiny configuration overflow when squared
-    alpha = -8.0 * math.pi * math.fsum(abs(f) ** 2 for f in frame_forces) * area
     n = len(frame)
     if n == 1:
-        # no other vortex: U vanishes on the circle
-        return [QuadratureResult(0.0, 0.0, 0.0, 0) for _ in epsilons], alpha
+        # no other vortex: U vanishes on the circle, and so do the forces
+        return [QuadratureResult(0.0, 0.0, 0.0, 0) for _ in epsilons], 0.0
     a, d = np.asarray(frame.positions), np.asarray(frame.circulations)
     g = 2.0 * np.asarray(frame_forces)
     # axes: circle m, node, the vortices j != m
@@ -205,6 +203,10 @@ def _contour_A_eps(
     estimates = []
     for e in epsilons:
         epsilon = e * shrink
+        unbounded = f"the contour form's bound at excision radius {e} is not finite"
+        # log eps^2 and sep / eps need a framed square that does not underflow
+        if not epsilon * epsilon > 0.0:
+            raise ValueError(unbounded)
         s = math.sqrt(frame.min_separation / epsilon)
         with np.errstate(over="ignore", invalid="ignore"):
             outer = math.fsum(k_max(epsilon * s, epsilon / s))
@@ -213,7 +215,7 @@ def _contour_A_eps(
             scale = math.fsum(k_max(epsilon, epsilon) + residue_max)
         excess = 2.0**54 * outer / scale
         if not math.isfinite(excess):
-            raise ValueError(f"the contour form's bound at excision radius {e} is not finite")
+            raise ValueError(unbounded)
         # the least node count whose trapezoid bound is below 2^-53 pi scale
         nodes = math.ceil(math.log1p(excess) / math.log(s))
         w = epsilon * np.exp(2j * math.pi / nodes * np.arange(nodes))
@@ -228,6 +230,9 @@ def _contour_A_eps(
         trapezoid = 2.0 * math.pi * outer / (s**nodes - 1.0)
         rounding = (n + nodes + 8) * 2.0**-53 * math.pi * scale
         estimates.append(QuadratureResult(value * area, (trapezoid + rounding) * area, 0.0, 0))
+    # after the bounds, which reject huge circulations before a float's ** raises;
+    # from the frame's forces, which a tiny configuration keeps finite squared
+    alpha = -8.0 * math.pi * math.fsum(abs(f) ** 2 for f in frame_forces) * area
     return estimates, alpha
 
 

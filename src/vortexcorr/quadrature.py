@@ -29,12 +29,12 @@ truncation circle (counted at ``2 (R - |c|)``).  The plateau is ``1.05
 eps`` and the support ``0.49 room`` (``0.495 room`` when eps crowds it),
 the widest ramp that keeps the supports disjoint and inside ``B_R``.
 
-Starting cells are eight angular panels per ring.  A patch's rings double
-from ``eps`` to its support; the background's break at every ``|c|`` and
-``|c| +- support`` and double beyond the outermost support.  A background
-panel that meets a hole's support is bisected in angle down to the hole's
-angular radius ``asin(support / |c|)``, so both Gauss rules see its dip;
-45-degree panels let a small hole slip between their nodes unseen.
+Each region carries its starting cells, eight angular panels per ring: a
+patch's rings double from ``eps`` to its support, the background's break at
+every ``|c|`` and ``|c| +- support`` and double past the outermost support.
+A background panel meeting a hole's support is bisected in angle down to
+the hole's angular radius ``asin(support / |c|)``, so both Gauss rules see
+its dip; 45-degree panels let a small hole slip between their nodes unseen.
 
 Every cell is a rectangle in (r, theta) carrying the polar Jacobian.
 Cells are estimated with two independent Gauss-Legendre product rules
@@ -48,27 +48,26 @@ reproducible.
 
 Cells are estimated in batches from one region, with one call of ``f`` on
 all the batch's nodes, and one rule sizes every batch, the starting mesh's
-included: at most 32 cells (5,440 nodes), the children of one round.  The
-starting cells go in mesh order, in consecutive runs of at most 32 from one
-region; the children of a round go region by region, in region order and
-then pop order.  Every node and per-cell sum is formed exactly as for
-a single cell, so batching changes no cell's bits.  It changes which cells
-are split: a round splits its eight cells before it sees their children,
-so it can split a cell that one split at a time would have left alone,
-most where the error sits in one deep chain of cells, such as a pole
-inside ``B_R``.  No round splits a cell that would take the cells past the
-budget, so an exhausted run stops within three cells of it.  The
-background weight loops over the holes with work and temporaries linear in
-the nodes: the supports are disjoint, so each node has at most one nonzero
-cutoff, and ``1 - cutoff`` of that hole equals the sequential ``1 - sum of
-cutoffs``, whose other terms are exact zeros.
+included: at most 32 cells (5,440 nodes), the children of one round.  Each
+region's starting cells go in mesh order, in consecutive runs of at most
+32, patches first; the children of a round go region by region, in region
+order and then pop order.  Every node and per-cell sum is formed exactly
+as for a single cell, so batching changes no cell's bits.  It changes
+which cells are split: a round splits its eight cells before it sees their
+children, so it can split a cell that one split at a time would have left
+alone, most where the error sits in one deep chain of cells, such as a
+pole inside ``B_R``.  No round splits a cell that would take the cells
+past the budget, so an exhausted run stops within three cells of it.  The
+background weight loops over its holes, the patch regions, with work and
+temporaries linear in the nodes: the supports are disjoint, so each node
+has at most one nonzero cutoff, and ``1 - cutoff`` of that hole equals the
+sequential ``1 - sum of cutoffs``, whose other terms are exact zeros.
 """
 
 from __future__ import annotations
 
 import cmath
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -161,22 +160,21 @@ def _cutoff(r: np.ndarray, plateau: float, support: float) -> np.ndarray:
 
 
 _Cell = tuple[float, float, float, float]
-# hole centres, plateaus and supports
-_Holes = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
 class _Region:
-    """One piece of the partition: a patch (radial cutoff about its centre)
-    or the background (complement of all hole cutoffs)."""
+    """One piece of the partition and its starting cells: a patch (radial
+    cutoff about its centre) or the background (``1 -`` its holes' cutoffs)."""
 
     center: complex
     plateau: float | None = None
     support: float | None = None
-    holes: _Holes | None = None
+    holes: Sequence[_Region] | None = None
+    cells: Sequence[_Cell] = ()
 
 
-def _hole_weight(zs: np.ndarray, holes: _Holes) -> np.ndarray:
+def _hole_weight(zs: np.ndarray, holes: Sequence[_Region]) -> np.ndarray:
     """Background weight ``1 - sum of hole cutoffs`` at the points ``zs``.
 
     The supports are disjoint, so each point lies inside at most one of
@@ -189,16 +187,16 @@ def _hole_weight(zs: np.ndarray, holes: _Holes) -> np.ndarray:
     w = np.ones(zs.shape)
     dx = np.empty(zs.shape)
     dy = np.empty(zs.shape)
-    for c, plateau, support in zip(*(a.tolist() for a in holes)):
-        np.subtract(zs.real, c.real, out=dx)
-        np.subtract(zs.imag, c.imag, out=dy)
+    for hole in holes:
+        np.subtract(zs.real, hole.center.real, out=dx)
+        np.subtract(zs.imag, hole.center.imag, out=dy)
         dx *= dx
         dy *= dy
         dx += dy
-        near = np.flatnonzero(dx < support * support)
+        near = np.flatnonzero(dx < hole.support * hole.support)
         if near.size:
-            dist = np.abs(zs[near] - c)
-            w[near] = 1.0 - _cutoff(dist, plateau, support)
+            dist = np.abs(zs[near] - hole.center)
+            w[near] = 1.0 - _cutoff(dist, hole.plateau, hole.support)
     return w
 
 
@@ -251,13 +249,13 @@ def _geometric_edges(inner: float, outer: float) -> list[float]:
 
 
 def _polar_cells(
-    index: int, radial_edges: Sequence[float], boxes: Sequence[tuple[float, ...]] = ()
-) -> list[tuple[int, _Cell]]:
-    """Starting cells of region ``index``, ordered ring by ring: every radial
-    interval split into eight equal angular panels, each aligned to ``boxes``."""
+    radial_edges: Sequence[float], boxes: Sequence[tuple[float, ...]] = ()
+) -> list[_Cell]:
+    """Starting cells of a region, ordered ring by ring: every radial interval
+    split into eight equal angular panels, each aligned to ``boxes``."""
     dt = 0.25 * math.pi
     return [
-        (index, piece)
+        piece
         for a, b in zip(radial_edges[:-1], radial_edges[1:])
         for i in range(8)
         for piece in _aligned((a, b, i * dt, (i + 1) * dt), boxes)
@@ -281,9 +279,7 @@ def _aligned(cell: _Cell, boxes: Sequence[tuple[float, ...]]) -> list[_Cell]:
     return [cell]
 
 
-def _background_cells(
-    index: int, patches: Sequence[_Region], cutoff_radius: float
-) -> list[tuple[int, _Cell]]:
+def _background_cells(patches: Sequence[_Region], cutoff_radius: float) -> list[_Cell]:
     marks = {0.0, cutoff_radius}
     for p in patches:
         for r in (abs(p.center) - p.support, abs(p.center), abs(p.center) + p.support):
@@ -304,7 +300,7 @@ def _background_cells(
     # a hole whose support reaches the origin splits nothing
     boxes = [(abs(p.center), cmath.phase(p.center), p.support) for p in patches]
     boxes = [(c, phase, s, math.asin(s / c)) for c, phase, s in boxes if s < c]
-    return _polar_cells(index, cleaned, boxes)
+    return _polar_cells(cleaned, boxes)
 
 
 def _add(partials: list[float], x: float) -> None:
@@ -329,11 +325,10 @@ def _add(partials: list[float], x: float) -> None:
 def _adaptive(
     f: Callable[[np.ndarray], np.ndarray],
     regions: Sequence[_Region],
-    first_cells: Sequence[tuple[int, _Cell]],
     target_abs_error: float,
     max_cells: int,
 ) -> tuple[complex, float, int, bool]:
-    if len(first_cells) > max_cells:
+    if sum(len(region.cells) for region in regions) > max_cells:
         # the starting mesh alone exceeds the budget: estimate nothing rather
         # than claim an error bar for work beyond it
         return 0j, math.inf, 0, False
@@ -351,13 +346,12 @@ def _adaptive(
             seq += 1
             _add(partials, err)
 
-    # the starting cells region by region in runs of at most 4 _BATCH, the
+    # each region's starting cells in turn, in runs of at most 4 _BATCH, the
     # size of a round's children: a whole region at once would hold its full
     # node set (and f's per-node temporaries) in memory
-    for region_idx, run in itertools.groupby(first_cells, key=lambda item: item[0]):
-        cells = [cell for _, cell in run]
-        for i in range(0, len(cells), 4 * _BATCH):
-            push(region_idx, cells[i : i + 4 * _BATCH])
+    for region_idx, region in enumerate(regions):
+        for i in range(0, len(region.cells), 4 * _BATCH):
+            push(region_idx, region.cells[i : i + 4 * _BATCH])
 
     # a non-finite cell error never leaves the total, so no split can bring it
     # to the target; a run stopped by the budget ends above the target
@@ -436,21 +430,19 @@ def integrate_excised_disk(
     room = np.hypot(diff.real, diff.imag)
     np.fill_diagonal(room, 2.0 * (cutoff_radius - moduli))
     room = room.min(axis=1, initial=math.inf)
-    plateaus = np.full(room.shape, 1.05 * epsilon)
+    plateau = 1.05 * epsilon
     supports = 0.49 * room
-    crowded = plateaus >= 0.98 * supports
+    crowded = plateau >= 0.98 * supports
     supports[crowded] = 0.495 * room[crowded]
-    tight = np.flatnonzero(plateaus >= 0.98 * supports)
+    tight = np.flatnonzero(plateau >= 0.98 * supports)
     if len(tight):
         i = tight[0]
         message = f"excision radius {{}} leaves no room for the cutoff around point {i}"
         message += " (room {}, to the nearest other point or twice to the cutoff radius {})"
         raise _Misfit(message, epsilon, float(room[i]), cutoff_radius)
-    holes = centers, plateaus, supports
-    patches = [_Region(c, p, s) for c, p, s in zip(*(a.tolist() for a in holes))]
-    cells: list[tuple[int, _Cell]] = []
-    for idx, p in enumerate(patches):
-        cells.extend(_polar_cells(idx, _geometric_edges(epsilon, p.support)))
-    cells.extend(_background_cells(len(patches), patches, cutoff_radius))
-    regions = patches + [_Region(center=0j, holes=holes)]
-    return _adaptive(f, regions, cells, target_abs_error, max_cells)
+    patches = [
+        _Region(c, plateau, s, cells=_polar_cells(_geometric_edges(epsilon, s)))
+        for c, s in zip(centers.tolist(), supports.tolist())
+    ]
+    background = _Region(0j, holes=patches, cells=_background_cells(patches, cutoff_radius))
+    return _adaptive(f, patches + [background], target_abs_error, max_cells)

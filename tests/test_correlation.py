@@ -266,6 +266,15 @@ def test_an_eps_too_small_for_the_contour_bound_is_rejected():
             correlation_limit(config, [1e-100 * s, 1e-110 * s], default_quadrature_spec(config))
 
 
+def test_huge_circulations_meet_the_contour_bound_before_alpha():
+    # alpha squares the forces, which for circulations of 1e77 overflow as a
+    # float's ** does, by raising; the bound is checked first and names the eps
+    for d in (1e77, 1e80):
+        pair = VortexConfiguration.from_coordinates([(0, 0, d), (1, 0, d)])
+        with pytest.raises(ValueError, match="bound at excision radius 0.2 is not finite"):
+            correlation_limit(pair, default_epsilon_list(pair))
+
+
 def test_an_eps_too_small_for_the_2d_engine_is_rejected():
     # at tiny eps the kernels overflow near the holes: the 2D value is not
     # finite, and the misfit names the caller's eps without a numpy warning

@@ -96,7 +96,8 @@ def test_hole_weight_keeps_its_bits(rng):
             for r in (np.nextafter(s, 0.0), s, np.nextafter(s, np.inf), p):
                 zs.append(c + r * np.concatenate([direction, [1.0, -1.0, 1j, -1j]]))
         zs = np.concatenate(zs)
-        weights = _hole_weight(zs, holes)
+        patches = [_Region(c, p, s) for c, p, s in zip(*(a.tolist() for a in holes))]
+        weights = _hole_weight(zs, patches)
         assert np.array_equal(weights, hole_weight_reference(zs, holes))
         # the nodes cover the plateau, the ramp and the outside of the holes
         assert (weights == 0.0).any() and (weights == 1.0).any()
@@ -316,7 +317,7 @@ def test_one_call_on_32_cells_keeps_every_bit(rng):
     gaps = np.abs(centers[:, None] - centers)
     np.fill_diagonal(gaps, np.inf)
     supports = 0.49 * gaps.min(axis=1)
-    holes = centers, np.full(3, 0.105), supports
+    holes = [_Region(c, 0.105, s) for c, s in zip(centers.tolist(), supports.tolist())]
     a, b = centers[0], centers[2]
     kernels = {
         "integrand": lambda zs: integrand_values(MOVED_TRIPLE, zs),
@@ -373,7 +374,7 @@ def test_no_call_of_f_takes_more_than_32_cells():
     support = 0.49 * 2.0 * (radius - abs(center))
     patch = _Region(center, 1.05 * eps, support)
     rings = {}
-    for _, (r0, r1, _, _) in _background_cells(1, [patch], radius):
+    for r0, r1, _, _ in _background_cells([patch], radius):
         rings[r0, r1] = rings.get((r0, r1), 0) + 1
     assert max(rings.values()) > 32
     calls = []
