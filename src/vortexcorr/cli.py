@@ -28,6 +28,8 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .core import (
     ConfigurationError,
@@ -75,11 +77,16 @@ class CliFailure(Exception):
 
 
 # library failure -> exit code and a hint; the first match wins, since
-# degenerate parameters and broken invariants are ValueErrors too.  A chain
-# missing its accuracy gate raises ArithmeticError: numeric, not degenerate.
+# degenerate parameters, broken invariants and a failed linear-algebra
+# solve are ValueErrors too.  A chain missing its accuracy gate raises
+# ArithmeticError: numeric, not degenerate.
 _EXIT_CODES = (
     (DegenerateParametersError, EXIT_DEGENERATE, "; try perturbing the tau parameters"),
-    ((RootConvergenceError, ArithmeticError), EXIT_NONCONVERGENCE, ""),
+    (
+        (RootConvergenceError, ArithmeticError, np.linalg.LinAlgError),
+        EXIT_NONCONVERGENCE,
+        "",
+    ),
     (ConfigurationError, EXIT_INVARIANT, ""),
     ((ValueError, IndexError), EXIT_USAGE, ""),
 )

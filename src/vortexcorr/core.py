@@ -105,9 +105,9 @@ class VortexConfiguration:
             )
         floor = SEPARATION_FLOOR_SCALE * diameter
         # at or below: two coincident vortices alone have diameter 0
-        close = np.argwhere(np.triu(self._distances <= floor, 1))
-        if len(close):
-            j, k = close[0]  # the first pair in row-major (j < k) order
+        if self.min_separation <= floor:
+            # the first pair in row-major (j < k) order
+            j, k = np.argwhere(np.triu(self._distances <= floor, 1))[0]
             distance = self._distances[j, k]
             if distance == 0.0:
                 raise ConfigurationError(f"vortices {j} and {k} coincide")
@@ -165,8 +165,9 @@ class VortexConfiguration:
     @cached_property
     def min_separation(self) -> float:
         """Smallest pairwise distance (``inf`` for a single vortex)."""
-        upper = np.triu_indices(len(self), 1)
-        return float(self._distances[upper].min(initial=math.inf))
+        off = self._distances.copy()
+        np.fill_diagonal(off, math.inf)
+        return float(off.min())
 
 
 @dataclass(frozen=True)
@@ -204,11 +205,24 @@ def energy(config: VortexConfiguration) -> float:
 
 def forces(config: VortexConfiguration) -> list[complex]:
     """All forces ``f_j = sum_{k != j} d_j d_k / (a_j - a_k)``, each a
-    compensated sum."""
-    n = len(config)
+    compensated sum.
+
+    Raises ``ValueError`` naming the first pair (in row-major order) whose
+    term overflows the floating-point range.
+    """
     d = np.asarray(config.circulations)
-    off = ~np.eye(n, dtype=bool)
-    terms = (np.outer(d, d)[off] / config._differences[off]).reshape(n, n - 1)
+    diff = config._differences.copy()
+    np.fill_diagonal(diff, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.outer(d, d) / diff
+    # an exact zero on the diagonal: fsum drops it
+    np.fill_diagonal(terms, 0.0)
+    if not np.isfinite(terms).all():
+        j, k = np.argwhere(~np.isfinite(terms))[0]
+        raise ValueError(
+            f"the force term of vortices {j} and {k} overflows the floating-point "
+            f"range (circulations {d[j]:.3e} and {d[k]:.3e})"
+        )
     # Python floats: fsum walks a list faster than a numpy row
     rows = zip(terms.real.tolist(), terms.imag.tolist())
     return [complex(math.fsum(re), math.fsum(im)) for re, im in rows]

@@ -6,8 +6,8 @@ Two routes are provided:
   Wronskian recurrence ``P_{k+1}' P_{k-1} - P_{k+1} P_{k-1}' = (2k+1) P_k^2``
   with ``P_0 = 1`` and ``P_1 = z``.  Placing circulation ``-1`` at the roots
   of ``P_{n-1}`` and ``+1`` at the roots of ``P_n`` yields an equilibrium;
-* a damped Newton refiner that drives every force ``f_j`` to zero while a
-  chosen subset of positions moves.
+* a damped (Levenberg-Marquardt) Newton refiner that drives every force
+  ``f_j`` to zero while a chosen subset of positions moves.
 
 Polynomials are coefficient tuples, lowest degree first.  Roots are the
 companion eigenvalues (numpy's ``polyroots``, LAPACK underneath), each
@@ -59,9 +59,25 @@ class RootConvergenceError(RuntimeError):
         self.failed_indices = failed_indices
 
 
-def _wronskian_coeffs(p: Sequence[complex], q: Sequence[complex]) -> np.ndarray:
-    """Coefficients of ``p' q - p q'``."""
-    return P.polysub(P.polymul(P.polyder(p), q), P.polymul(p, P.polyder(q)))
+def _derivative(c: np.ndarray) -> np.ndarray:
+    """Coefficients of ``p'`` for the coefficients ``c`` of ``p`` (``[0]`` for a constant)."""
+    return c[1:] * np.arange(1, len(c)) if len(c) > 1 else np.zeros(1, c.dtype)
+
+
+def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``sum_i c_i x^i`` at every ``x``, by Horner's rule as ``P.polyval`` runs it."""
+    value = c[-1] + x * 0
+    for coefficient in c[-2::-1]:
+        value = coefficient + value * x
+    return value
+
+
+def _padded_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficients of ``a - b``, the shorter one padded with zeros."""
+    out = np.zeros(max(len(a), len(b)), dtype=np.complex128)
+    out[: len(a)] += a
+    out[: len(b)] -= b
+    return out
 
 
 @dataclass(frozen=True)
@@ -80,10 +96,14 @@ class AdlerMoserChain:
 
     def wronskian_defect(self, k: int) -> float:
         """Relative coefficient error of the recurrence at step ``k`` (1-based)."""
-        lhs = _wronskian_coeffs(self.polynomials[k + 1], self.polynomials[k - 1])
-        mid = self.polynomials[k]
-        rhs = (2 * k + 1) * P.polymul(mid, mid)
-        diff = P.polysub(lhs, rhs)
+        high, mid, low = (
+            np.array(self.polynomials[i], dtype=np.complex128) for i in (k + 1, k, k - 1)
+        )
+        lhs = _padded_difference(
+            np.convolve(_derivative(high), low), np.convolve(high, _derivative(low))
+        )
+        rhs = (2 * k + 1) * np.convolve(mid, mid)
+        diff = _padded_difference(lhs, rhs)
         scale = max(np.abs(rhs).max(), 1e-300)
         return float(np.abs(diff).max() / scale)
 
@@ -101,12 +121,14 @@ def _next_chain_polynomial(
     """
     p = len(p_prev) - 1
     m = (k + 1) * (k + 2) // 2
-    c = np.array(p_prev, dtype=np.complex128)
-    rhs_poly = (2 * k + 1) * P.polymul(p_mid, p_mid)
-    rhs = np.zeros(m + p, dtype=np.complex128)
-    rhs[: len(rhs_poly)] = rhs_poly
+    c = list(p_prev)
+    # one entry per row s = i + p - 1 of the system, i = 0 .. m
+    rhs = ((2 * k + 1) * np.convolve(p_mid, p_mid)).tolist()
+    rhs += [0j] * (m + p - len(rhs))
 
-    q = np.zeros(m + 1, dtype=np.complex128)
+    # Python complex arithmetic rounds as numpy's scalar arithmetic does, but
+    # a complex quotient does not: each division stays numpy's
+    q = [0j] * (m + 1)
     for i in range(m, -1, -1):
         if i == p:
             continue  # free coefficient, carried by tau below
@@ -114,11 +136,13 @@ def _next_chain_polynomial(
         acc = 0j
         for i2 in range(i + 1, min(m, i + p) + 1):
             acc += q[i2] * (2 * i2 - s - 1) * c[i + p - i2]
-        q[i] = (rhs[s] - acc) / ((i - p) * c[p])
+        q[i] = complex(np.complex128(rhs[s] - acc) / ((i - p) * c[p]))
 
-    q[: p + 1] += complex(tau) * c
+    out = np.array(q)
+    # an array operation: numpy's array multiply rounds unlike its scalar one
+    out[: p + 1] += complex(tau) * np.array(c)
     # trimmed, so the degree gate sees a vanished leading coefficient
-    return tuple(pu.trimseq(q).tolist())
+    return tuple(pu.trimseq(out).tolist())
 
 
 def adler_moser_chain(n: int, parameters: Sequence[complex] = ()) -> AdlerMoserChain:
@@ -192,12 +216,12 @@ def roots(coefficients: Sequence[complex]) -> list[complex]:
             raise RootConvergenceError(
                 f"companion eigenvalues failed: {exc}", tuple(range(degree))
             ) from exc
-        pv = P.polyval(z, c)
-        dv = P.polyval(z, P.polyder(c))
+        pv = _horner(c, z)
+        dv = _horner(_derivative(c), z)
         safe = dv != 0
         z = np.where(safe, z - pv / np.where(safe, dv, 1.0), z)
-        bound = _ROOT_TOL * P.polyval(np.abs(z), np.abs(c))
-        ok = np.isfinite(z) & (np.abs(P.polyval(z, c)) <= bound)
+        bound = _ROOT_TOL * _horner(np.abs(c), np.abs(z))
+        ok = np.isfinite(z) & (np.abs(_horner(c, z)) <= bound)
     if not ok.all():
         failed = tuple(int(i) for i in np.nonzero(~ok)[0])
         raise RootConvergenceError(
@@ -233,9 +257,9 @@ def config_from_adler_moser(chain: AdlerMoserChain) -> VortexConfiguration:
     for poly, root_list in ((p_low, negative), (p_high, positive)):
         if len(poly) < 3:
             continue
-        dp = P.polyder(poly)
+        dp = _derivative(np.array(poly, dtype=np.complex128))
         r = np.array(root_list)
-        flat = np.abs(P.polyval(r, dp)) <= 1e-6 * P.polyval(np.abs(r), np.abs(dp))
+        flat = np.abs(_horner(dp, r)) <= 1e-6 * _horner(np.abs(dp), np.abs(r))
         if flat.any():
             raise DegenerateParametersError(
                 f"root {complex(r[flat][0]):.6g} of a chain polynomial looks multiple "
@@ -328,12 +352,27 @@ def refine_equilibrium(
 ) -> RefinementResult:
     """Drive every force to zero by moving the positions listed in ``free``.
 
-    Newton steps solve the complex least-squares system ``J shift = -f`` for
-    the N forces over the |free| free positions (the forces are holomorphic,
-    so ``J`` is complex-linear), via an SVD with singular values below
-    ``1e-10`` of the largest truncated.  A backtracking line search only
-    accepts steps that strictly decrease the residual ``max_j |f_j|``; the
-    accepted candidate's forces are the next step's right-hand side.
+    Each step is a Levenberg-Marquardt step for the complex least-squares
+    system ``J shift = -f`` of the N forces over the |free| free positions
+    (the forces are holomorphic, so ``J`` is complex-linear).  From one SVD
+    of the stacked system ``A = [J; gauge]`` (gauge rows below) with
+    right-hand side ``b``, the step is ``sum_i f_i (u_i^H b) v_i`` with
+    filter factors ``f_i = sigma_i / (sigma_i^2 + mu^2)``; singular values at
+    or below ``1e-10`` of the largest are dropped.  The damping
+    ``mu = max_j |f_j| / diameter`` has the units of ``J``, so the step is
+    scale-free and commutes with similarities; at ``mu = 0`` it is the
+    pseudo-inverse (Gauss-Newton) step.  Equilibria are often not isolated
+    (Adler-Moser ones form continua), and ``J`` then has singular values
+    near zero along them; the filter damps those directions instead of
+    inverting them.  Damping by the residual (``lambda = mu^2 ~ |f|^2``)
+    keeps local quadratic convergence without a nonsingular Jacobian,
+    under a local error bound (N. Yamashita and M. Fukushima, *Computing
+    Suppl.* 15, 2001; J. Fan and Y. Yuan, *Computing* 74, 2005).  A
+    backtracking line search only accepts steps that strictly decrease the
+    residual ``max_j |f_j|``; the accepted candidate's forces are the next
+    step's right-hand side.  A candidate that breaks a configuration
+    invariant, or whose forces leave the floating-point range, is rejected
+    like one that does not decrease the residual.
 
     Similarities map equilibria to equilibria, and the forces are
     homogeneous of degree -1, so ``J a = -f``: without a gauge the
@@ -350,7 +389,8 @@ def refine_equilibrium(
     refinement commutes with similarities.
 
     Circulations never change.  On non-convergence the best iterate is
-    returned with ``converged=False`` and a diagnostic message.
+    returned with ``converged=False`` and a diagnostic message.  A Jacobian
+    that overflows the floating-point range raises ``ValueError``.
     """
     free_idx = sorted(set(int(i) for i in free))
     if not free_idx:
@@ -368,11 +408,25 @@ def refine_equilibrium(
 
     while cur_res > settings.tolerance and iterations < settings.max_iterations:
         positions = np.array(current.positions, dtype=np.complex128)
-        jac = _force_jacobian(current, free_idx)
-        gauge = _gauge_rows(positions, free_idx)
-        gauge *= np.abs(jac).max() / np.abs(gauge).max(axis=1, keepdims=True)
-        rhs = np.concatenate([cur_forces, np.zeros(len(gauge))])
-        shift, *_ = np.linalg.lstsq(np.vstack([jac, gauge]), -rhs, rcond=1e-10)
+        with np.errstate(over="ignore", invalid="ignore"):
+            jac = _force_jacobian(current, free_idx)
+            gauge = _gauge_rows(positions, free_idx)
+            gauge *= np.abs(jac).max() / np.abs(gauge).max(axis=1, keepdims=True)
+            system = np.vstack([jac, gauge])
+        if not np.isfinite(system).all():
+            d = np.abs(np.asarray(current.circulations))
+            raise ValueError(
+                "the Newton Jacobian overflows the floating-point range: "
+                f"circulations up to {d.max():.3e} at separations down to "
+                f"{current.min_separation:.3e}"
+            )
+        rhs = -np.concatenate([cur_forces, np.zeros(len(gauge))])
+        u, sigma, vh = np.linalg.svd(system, full_matrices=False)
+        kept = int(np.count_nonzero(sigma > 1e-10 * sigma[0]))
+        # sigma / (sigma^2 + mu^2) without squaring, which could overflow
+        h = np.hypot(sigma[:kept], cur_res / current.diameter)
+        coefficients = (sigma[:kept] / h) / h * (u[:, :kept].conj().T @ rhs)
+        shift = vh[:kept].conj().T @ coefficients
 
         alpha = 1.0
         accepted = False
@@ -381,12 +435,12 @@ def refine_equilibrium(
             cand_pos[free_idx] += alpha * shift
             try:
                 candidate = VortexConfiguration.from_pairs(
-                    zip(cand_pos, current.circulations)
+                    zip(cand_pos.tolist(), current.circulations)
                 )
-            except ConfigurationError:
+                cand_forces = forces(candidate)
+            except ValueError:  # a broken invariant or a force out of range
                 alpha *= 0.5
                 continue
-            cand_forces = forces(candidate)
             new_res = max(map(abs, cand_forces))
             if new_res < cur_res:
                 current, cur_forces, cur_res = candidate, cand_forces, new_res

@@ -1,4 +1,6 @@
+import cmath
 import json
+import math
 
 import numpy as np
 import pytest
@@ -28,6 +30,13 @@ def random_configuration(rng, n, box=2.5, min_sep=0.4) -> VortexConfiguration:
             break
     ds = rng.uniform(0.5, 2.0, size=n) * rng.choice([-1.0, 1.0], size=n)
     return VortexConfiguration.from_pairs(list(zip(zs, ds)))
+
+
+def polygon_plus_centre(sides) -> VortexConfiguration:
+    """Unit vortices at the ``sides``-th roots of unity and ``-(sides - 1)/2``
+    at the origin: each vertex feels ``(sides - 1)/(2 a)`` from the others."""
+    ring = [(cmath.exp(2j * math.pi * k / sides), 1.0) for k in range(sides)]
+    return VortexConfiguration.from_pairs(ring + [(0j, -(sides - 1) / 2)])
 
 
 def random_point_clear_of(rng, config, box=4.0, clearance=0.1) -> complex:

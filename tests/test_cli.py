@@ -351,6 +351,21 @@ def test_adler_moser_root_nonconvergence_exit_4(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_refine_solver_failure_exit_4(capsys, monkeypatch, tmp_path):
+    # a LinAlgError is a ValueError, but a failed solve is a non-convergence
+    def fail(*args, **kwargs):
+        raise equilibria.np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(equilibria.np.linalg, "svd", fail)
+    moved = write_config(
+        tmp_path / "moved.json", [(-1.0, 0.0, 1.0), (0.01, 0.0, -0.5), (1.0, 0.0, 1.0)]
+    )
+    code, out, err = run_cli(capsys, "refine", moved, "--free", "1")
+    assert code == 4
+    assert err == "error: SVD did not converge\n"
+    assert out == ""
+
+
 def test_adler_moser_n7_builds(capsys, tmp_path):
     out_path = tmp_path / "am7.json"
     code, payload, _ = run_json(
@@ -822,6 +837,12 @@ def _huge_pair(d):
 # two vortices whose difference 2e308 overflows
 OVERFLOWING_ROWS = [(-1e308, 0.0, 1.0), (1e308, 0.0, 1.0)]
 
+# circulations 1e125 at 1e-62: the force term 1e312 overflows
+FORCE_OVERFLOW_ROWS = [(0.0, 0.0, 1e125), (1e-62, 0.0, 1e125)]
+
+# circulations +-1e60 spaced 1e-100: forces 1e220, Jacobian entries 1e320
+JACOBIAN_OVERFLOW_ROWS = [(-1e-100, 0.0, 1e60), (0.0, 0.0, -1e60), (1e-100, 0.0, 1e60)]
+
 # (command, configuration rows or manifest parameters or a file's whole text,
 # expected exit code, further arguments with {tmp} for the test's directory)
 CONTRACT_CASES = {
@@ -843,8 +864,18 @@ CONTRACT_CASES = {
     # the bound rejects huge circulations before alpha squares their forces
     "correlation-circulation-1e77": ("correlation", _huge_pair(1e77), 2),
     "correlation-circulation-1e80": ("correlation", _huge_pair(1e80), 2),
-    # ... and at 1e160 the forces overflow, with numpy warnings on the way
+    # ... and at 1e160 the forces overflow, named without numpy warnings
     "correlation-circulation-1e160": ("correlation", _huge_pair(1e160), 2),
+    # a force term beyond the float range names its pair, before fsum sees it
+    "check-force-overflows": ("check", FORCE_OVERFLOW_ROWS, 2),
+    "refine-force-overflows": ("refine", FORCE_OVERFLOW_ROWS, 2, ["--free", "all"]),
+    # finite forces, a Jacobian beyond the float range
+    "refine-jacobian-overflows": (
+        "refine",
+        JACOBIAN_OVERFLOW_ROWS,
+        2,
+        ["--free", "all", "--max-iter", "5"],
+    ),
     # the contour form's trapezoid bound must be finite
     "correlation-eps-1e-90": ("correlation", COLLINEAR_ROWS, 0, ["--eps-list", "1e-90,1e-91"]),
     "correlation-eps-1e-110": ("correlation", COLLINEAR_ROWS, 2, ["--eps-list", "1e-100,1e-110"]),
@@ -981,6 +1012,12 @@ CONTRACT_MESSAGES = {
     "correlation-eps-underflows-in-the-frame": "bound at excision radius 9.7e-243 is not finite",
     "correlation-circulation-1e77": "error: the contour form's bound at excision radius 0.2 is not",
     "correlation-circulation-1e80": "error: the contour form's bound at excision radius 0.2 is not",
+    "correlation-circulation-1e160": "error: the force term of vortices 0 and 1 overflows the",
+    "check-force-overflows": "error: the force term of vortices 0 and 1 overflows the "
+    "floating-point range (circulations 1.000e+125 and 1.000e+125)",
+    "refine-force-overflows": "error: the force term of vortices 0 and 1 overflows the",
+    "refine-jacobian-overflows": "error: the Newton Jacobian overflows the floating-point "
+    "range: circulations up to 1.000e+60 at separations down to 1.000e-100",
     "config-not-an-object": "expected an object with a 'vortices' list",
     "config-vortices-not-a-list": "'vortices' must be a list",
     "config-vortex-not-an-object": "vortex 0 must be an object with keys x, y, d",
@@ -997,10 +1034,7 @@ CONTRACT_MESSAGES = {
 assert set(CONTRACT_MESSAGES) <= set(CONTRACT_CASES)
 
 # cases that still break the contract, by case
-CONTRACT_XFAILS = {
-    "correlation-circulation-1e160": "core.forces overflows on circulations of 1e160 "
-    "and warns from numpy before the bound rejects them (ROADMAP items 9 and 12)",
-}
+CONTRACT_XFAILS = {}
 assert set(CONTRACT_XFAILS) <= set(CONTRACT_CASES)
 
 

@@ -186,6 +186,23 @@ def test_force_matches_oracle_on_random_configs(rng):
             assert f == pytest.approx(brute_force_force(config, j), rel=1e-13)
 
 
+@pytest.mark.parametrize(
+    "pairs, named",
+    [
+        # d_j d_k / (a_j - a_k) = 1e312
+        ([(0.0, 1e125), (1e-62, 1e125)], "vortices 0 and 1"),
+        # d_1 d_2 = 1e320 overflows before the division; the pairs with vortex 0 do not
+        ([(0.0, 1.0), (5.0, 1e160), (6.0, 1e160)], "vortices 1 and 2"),
+    ],
+)
+def test_force_out_of_range_names_its_pair_without_warnings(pairs, named):
+    config = VortexConfiguration.from_pairs(pairs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"force term of {named} overflows"):
+            forces(config)
+
+
 def test_gradient_two_vortex_values():
     config = VortexConfiguration.from_pairs([(0.0, 1.0), (1.0, 1.0)])
     assert gradient(config) == [2.0 + 0j, -2.0 + 0j]

@@ -1,4 +1,3 @@
-import cmath
 import functools
 import math
 import random
@@ -34,7 +33,7 @@ from vortexcorr.correlation import (
 )
 from vortexcorr.quadrature import integrate_excised_disk
 
-from conftest import GENERIC_N5, random_configuration
+from conftest import GENERIC_N5, polygon_plus_centre, random_configuration
 from oracles import eps_series, far_field_tail, finite_part, pair_kernel_over_disk
 
 
@@ -729,13 +728,6 @@ def _moved_series_case(name):
     return transform(build(), Similarity(rotation=rotation, translation=translation))
 
 
-def _polygon_plus_centre(sides):
-    """Unit vortices at the ``sides``-th roots of unity and ``-(sides - 1)/2``
-    at the origin: each vertex feels ``(sides - 1)/(2 a)`` from the others."""
-    ring = [(cmath.exp(2j * math.pi * k / sides), 1.0) for k in range(sides)]
-    return VortexConfiguration.from_pairs(ring + [(0j, -(sides - 1) / 2)])
-
-
 # the contour form is cheap, so it also runs beyond N = 16 and on a second
 # family; the new cases are unmoved.  Adler-Moser n = 7 waits for a more
 # accurate chain: its construction residual is 2.8e-12.
@@ -743,8 +735,8 @@ CONTOUR_CASES = {
     **{name: functools.partial(_moved_series_case, name) for name in SERIES_CASES},
     "adler_moser_5": lambda: config_from_adler_moser(adler_moser_chain(5, [1.0] * 4)),
     "adler_moser_6": lambda: config_from_adler_moser(adler_moser_chain(6, [1.0] * 5)),
-    "polygon_centre_13": lambda: _polygon_plus_centre(12),
-    "polygon_centre_49": lambda: _polygon_plus_centre(48),
+    "polygon_centre_13": lambda: polygon_plus_centre(12),
+    "polygon_centre_49": lambda: polygon_plus_centre(48),
 }
 
 

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 import random
 import warnings
@@ -25,7 +26,7 @@ from vortexcorr import (
 import vortexcorr.equilibria as equilibria
 from vortexcorr.equilibria import _force_jacobian
 
-from conftest import random_configuration
+from conftest import polygon_plus_centre, random_configuration
 
 
 # ------------------------------------------------------------------- chains
@@ -133,6 +134,59 @@ def test_chain_invariants_to_n5(rng):
             assert len(poly) - 1 == k * (k + 1) // 2
         for k in range(1, n):
             assert ch.wronskian_defect(k) < 1e-10
+
+
+def _bits_digest(values):
+    """SHA-256 prefix over the ``.hex()`` of every real and imaginary part."""
+    text = ",".join(f"{complex(v).real.hex()}:{complex(v).imag.hex()}" for v in values)
+    return hashlib.sha256(text.encode()).hexdigest()[:24]
+
+
+def _seeded_complex_taus(count):
+    rng = random.Random(5)
+    return [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(count)]
+
+
+# digests of the chain, its roots, its recurrence defects and the built
+# configuration with its forces, recorded at 0.21.3; roots come from LAPACK,
+# so these pin one numpy build
+CHAIN_BITS = {
+    "n7-tau-1": (
+        lambda: adler_moser_chain(7, [1.0] * 6),
+        {
+            "coefficients": "836fd4abe820eb5df24206dc",
+            "roots": "3be4ecbcfe14db7a05368188",
+            "defects": "6c7a6a5aa0889e27e7ae8a2d",
+            "positions": "83bfee54d3585bf0ec86da06",
+            "forces": "5b5297765c364b6c1e4919e1",
+        },
+    ),
+    "n5-complex-tau": (
+        lambda: adler_moser_chain(5, _seeded_complex_taus(4)),
+        {
+            "coefficients": "f1cffd868bbddef1120377c0",
+            "roots": "25ce67902a9520d9fc09252a",
+            "defects": "d708c1081061c3186eac0fab",
+            "positions": "b21de0f8d5231da73d3f0820",
+            "forces": "201f8ccf9be4fac94c254c7e",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_BITS))
+def test_chain_roots_and_configuration_keep_their_bits(name):
+    build, expected = CHAIN_BITS[name]
+    chain = build()
+    config = config_from_adler_moser(chain)
+    got = {
+        "coefficients": _bits_digest(c for p in chain.polynomials for c in p),
+        "roots": _bits_digest(r for p in chain.polynomials[1:] for r in roots(p)),
+        "defects": _bits_digest(chain.wronskian_defect(k) for k in range(1, chain.n)),
+        "positions": _bits_digest(config.positions),
+        "forces": _bits_digest(forces(config)),
+    }
+    assert got == expected
 
 
 # -------------------------------------------------------------------- roots
@@ -429,6 +483,99 @@ def test_refine_commutes_with_similarities(pinned):
     expected = np.array(transform(out.configuration, similarity).positions)
     got = np.array(moved.configuration.positions)
     assert np.abs(got - expected).max() <= 1e-9 * moved.configuration.diameter
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_refine_benchmark_cases_take_at_most_4_iterations(n):
+    # the damped step does not invert the near-null directions of the
+    # Adler-Moser continuum; the pseudo-inverse step took 6 here
+    _, perturbed = _perturbed_adler_moser(n)
+    out = refine_equilibrium(perturbed, free=range(len(perturbed)))
+    assert out.converged
+    assert out.iterations <= 4
+
+
+def test_refine_converges_on_a_seeded_sweep():
+    # Adler-Moser n = 2..6 with tau all 1 and with seeded complex tau, and
+    # the 12-gon with its centre; every vortex moved by 1e-4 .. 0.3 of the
+    # minimum separation in a seeded direction; all free, one or two pinned
+    rng = random.Random(2)
+    bases = []
+    for n in range(2, 7):
+        bases.append(config_from_adler_moser(adler_moser_chain(n, [1.0] * (n - 1))))
+        taus = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n - 1)]
+        bases.append(config_from_adler_moser(adler_moser_chain(n, taus)))
+    bases.append(polygon_plus_centre(12))
+    failures = []
+    cases = 0
+    for base in bases:
+        for scale in (1e-4, 1e-3, 1e-2, 0.1, 0.3):
+            for pinned in ((), (0,), (0, 1)):
+                step = scale * base.min_separation
+                moved = VortexConfiguration.from_pairs(
+                    (v.position + step * cmath.exp(2j * math.pi * rng.random()), v.circulation)
+                    for v in base.vortices
+                )
+                free = [k for k in range(len(moved)) if k not in pinned]
+                out = refine_equilibrium(moved, free)
+                cases += 1
+                if not (out.converged and out.residual <= 1e-12):
+                    failures.append((len(base), scale, pinned, out.message))
+    assert cases == 165
+    assert failures == []
+
+
+@pytest.mark.parametrize("pinned", [(), (0,)], ids=["all-free", "vortex-0-pinned"])
+def test_refine_far_start_on_a_continuum_converges(pinned):
+    # Adler-Moser n = 6 with every vortex moved by 0.3 of the minimum
+    # separation: the pseudo-inverse step stalled at 4.4e-3 after 45
+    # iterations (all free, the configuration 400 times larger) and at
+    # 2.0e-7 after 49 (vortex 0 pinned)
+    base = config_from_adler_moser(adler_moser_chain(6, [1.0] * 5))
+    rng = random.Random(1)
+    step = 0.3 * base.min_separation
+    moved = VortexConfiguration.from_pairs(
+        (v.position + step * cmath.exp(2j * math.pi * rng.random()), v.circulation)
+        for v in base.vortices
+    )
+    free = [k for k in range(len(moved)) if k not in pinned]
+    out = refine_equilibrium(moved, free)
+    assert out.converged, out.message
+    assert out.residual <= 1e-12
+    assert out.configuration.diameter == pytest.approx(moved.diameter, rel=0.01)
+
+
+def test_refine_rejects_a_candidate_whose_forces_overflow(monkeypatch):
+    # the first candidate's forces leave the float range: the line search
+    # halves the step, as for a candidate that breaks an invariant
+    calls = []
+
+    def flaky_forces(config):
+        calls.append(config)
+        if len(calls) == 2:
+            raise ValueError("the force term of vortices 0 and 1 overflows")
+        return forces(config)
+
+    monkeypatch.setattr(equilibria, "forces", flaky_forces)
+    perturbed = VortexConfiguration.from_pairs(
+        [(-1.0, 1.0), (0.00073 - 0.00041j, -0.5), (1.0, 1.0)]
+    )
+    out = refine_equilibrium(perturbed, free=[1])
+    assert out.converged
+    assert len(calls) > 2
+
+
+def test_refine_jacobian_overflow_raises_without_warnings():
+    # d = +-1e60 spaced 1e-100 apart: the forces (1e220) are finite, the
+    # Jacobian entries (1e320) are not
+    triple = VortexConfiguration.from_pairs(
+        [(-1e-100, 1e60), (0.0, -1e60), (1e-100, 1e60)]
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="Newton Jacobian overflows") as info:
+            refine_equilibrium(triple, free=range(3), settings=NewtonSettings(max_iterations=5))
+    assert "circulations up to 1.000e+60 at separations down to 1.000e-100" in str(info.value)
 
 
 def test_refine_respects_iteration_cap():
