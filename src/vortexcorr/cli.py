@@ -9,10 +9,10 @@ for the correlation command); diagnostics go to standard error.  Exit
 codes are stable: 0 success, 1 a replay whose results differ from its
 manifest, 2 usage or parse error, 3 invariant violation, 4 numeric
 non-convergence or exhausted budget, 5 degenerate construction.  One
-table, ``_EXIT_CODES``, maps the library's exceptions to their codes for
-every command.  ``--manifest PATH`` records the command, its parameters,
-and the results; the ``replay`` command re-runs a manifest the way the
-command line runs it and verifies the results reproduce bit-exactly.
+table, ``_EXIT_CODES``, maps the library's own exceptions to their codes;
+any other exception is a bug and keeps its traceback.  ``--manifest PATH``
+records the command, its parameters and the results; ``replay`` re-runs a
+manifest as the command line does and verifies its results bit-exactly.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from .equilibria import (
     DegenerateParametersError,
     NewtonSettings,
     RootConvergenceError,
+    _ChainGateError,
     adler_moser_chain,
     config_from_adler_moser,
     refine_equilibrium,
@@ -78,12 +79,12 @@ class CliFailure(Exception):
 
 # library failure -> exit code and a hint; the first match wins, since
 # degenerate parameters, broken invariants and a failed linear-algebra
-# solve are ValueErrors too.  A chain missing its accuracy gate raises
-# ArithmeticError: numeric, not degenerate.
+# solve are ValueErrors too.  A chain missing its accuracy gate is numeric,
+# not degenerate; a stray float error is a bug, so no ArithmeticError here.
 _EXIT_CODES = (
     (DegenerateParametersError, EXIT_DEGENERATE, "; try perturbing the tau parameters"),
     (
-        (RootConvergenceError, ArithmeticError, np.linalg.LinAlgError),
+        (RootConvergenceError, _ChainGateError, np.linalg.LinAlgError),
         EXIT_NONCONVERGENCE,
         "",
     ),

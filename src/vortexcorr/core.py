@@ -196,11 +196,21 @@ def energy(config: VortexConfiguration) -> float:
     Ordered-pair convention: each unordered pair contributes twice.  Terms
     are accumulated with exact (compensated) summation, so the result does
     not depend on vortex ordering beyond rounding of the individual terms.
+    A term or sum beyond the floating-point range raises ``ValueError``.
     """
     d = np.asarray(config.circulations)
     j, k = np.triu_indices(len(config), 1)
-    # the distance itself, not its square, so no pair overflows
-    return math.fsum(-2.0 * (d[j] * d[k]) * np.log(config._distances[j, k]))
+    # the distance itself, not its square, so no distance overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = -2.0 * (d[j] * d[k]) * np.log(config._distances[j, k])
+    if not np.isfinite(terms).all():
+        i = np.argmin(np.isfinite(terms))
+        message = f"the energy term of vortices {j[i]} and {k[i]} overflows the floating-point"
+        raise ValueError(f"{message} range (circulations {d[j[i]]:.3e} and {d[k[i]]:.3e})")
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        raise ValueError("the energy overflows the floating-point range") from None
 
 
 def forces(config: VortexConfiguration) -> list[complex]:
@@ -208,7 +218,8 @@ def forces(config: VortexConfiguration) -> list[complex]:
     compensated sum.
 
     Raises ``ValueError`` naming the first pair (in row-major order) whose
-    term overflows the floating-point range.
+    term overflows the floating-point range, or the first vortex whose force
+    or its modulus does.
     """
     d = np.asarray(config.circulations)
     diff = config._differences.copy()
@@ -224,8 +235,15 @@ def forces(config: VortexConfiguration) -> list[complex]:
             f"range (circulations {d[j]:.3e} and {d[k]:.3e})"
         )
     # Python floats: fsum walks a list faster than a numpy row
-    rows = zip(terms.real.tolist(), terms.imag.tolist())
-    return [complex(math.fsum(re), math.fsum(im)) for re, im in rows]
+    f = []
+    for j, (re, im) in enumerate(zip(terms.real.tolist(), terms.imag.tolist())):
+        try:
+            f.append(complex(math.fsum(re), math.fsum(im)))
+            abs(f[j])  # a finite force can have an infinite modulus
+        except OverflowError:
+            message = f"the force on vortex {j} overflows the floating-point range"
+            raise ValueError(f"{message} (circulation {d[j]:.3e})") from None
+    return f
 
 
 def gradient(config: VortexConfiguration) -> list[complex]:

@@ -181,10 +181,9 @@ def _contour_A_eps(
         # no other vortex: U vanishes on the circle, and so do the forces
         return [QuadratureResult(0.0, 0.0, 0.0, 0) for _ in epsilons], 0.0
     a, d = np.asarray(frame.positions), np.asarray(frame.circulations)
-    g = 2.0 * np.asarray(frame_forces)
     # axes: circle m, node, the vortices j != m
     j = np.array([[k for k in range(n) if k != m] for m in range(n)])[:, None, :]
-    b, dj, gj = a[j] - a[:, None, None], d[j], g[j]
+    b, dj = a[j] - a[:, None, None], d[j]
     dist = np.abs(b)
 
     def k_max(x: float, inner: float) -> np.ndarray:
@@ -198,6 +197,8 @@ def _contour_A_eps(
 
     # a tiny eps or huge circulations overflow the bounds: rejected below, unwarned
     with np.errstate(over="ignore", invalid="ignore"):
+        g = 2.0 * np.asarray(frame_forces)
+        gj = g[j]
         centre_max = (dj * dj / dist + np.abs(gj * np.log(dist * dist))).sum(axis=(1, 2))
         centre = (dj * dj / np.conj(b) + np.conj(gj) * np.log(dist * dist)).sum(axis=(1, 2))
     estimates = []

@@ -59,6 +59,10 @@ class RootConvergenceError(RuntimeError):
         self.failed_indices = failed_indices
 
 
+class _ChainGateError(ArithmeticError):
+    """A chain step misses its degree or recurrence gate."""
+
+
 def _derivative(c: np.ndarray) -> np.ndarray:
     """Coefficients of ``p'`` for the coefficients ``c`` of ``p`` (``[0]`` for a constant)."""
     return c[1:] * np.arange(1, len(c)) if len(c) > 1 else np.zeros(1, c.dtype)
@@ -171,12 +175,12 @@ def adler_moser_chain(n: int, parameters: Sequence[complex] = ()) -> AdlerMoserC
             defect = chain.wronskian_defect(k)
         expected = (k + 1) * (k + 2) // 2
         if len(poly) - 1 != expected:
-            raise ArithmeticError(
+            raise _ChainGateError(
                 f"chain polynomial {k + 1} has degree {len(poly) - 1}, expected {expected}"
             )
         # a NaN defect fails the gate too
         if not defect <= 1e-10:
-            raise ArithmeticError(
+            raise _ChainGateError(
                 f"chain recurrence defect {defect:.3e} at step {k} exceeds 1e-10"
             )
     return chain
@@ -408,7 +412,7 @@ def refine_equilibrium(
 
     while cur_res > settings.tolerance and iterations < settings.max_iterations:
         positions = np.array(current.positions, dtype=np.complex128)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             jac = _force_jacobian(current, free_idx)
             gauge = _gauge_rows(positions, free_idx)
             gauge *= np.abs(jac).max() / np.abs(gauge).max(axis=1, keepdims=True)

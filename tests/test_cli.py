@@ -6,11 +6,13 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import vortexcorr
+import vortexcorr.cli as cli
 import vortexcorr.equilibria as equilibria
 from vortexcorr import (
     RootConvergenceError,
@@ -381,6 +383,17 @@ def test_adler_moser_chain_defect_exit_4(capsys):
     assert code == 4
     assert err.startswith("error: chain recurrence defect")
     assert "Traceback" not in err
+
+
+def test_an_unnamed_exception_is_a_bug_with_its_traceback(monkeypatch, collinear_file):
+    # the exit table names the library's own failures only: a stray float
+    # error is not a non-convergence, and propagates
+    def stray(config):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr(cli, "forces", stray)
+    with pytest.raises(ZeroDivisionError, match="float division by zero"):
+        main(["check", collinear_file])
 
 
 def test_adler_moser_n3_refined(capsys, tmp_path):
@@ -843,6 +856,37 @@ FORCE_OVERFLOW_ROWS = [(0.0, 0.0, 1e125), (1e-62, 0.0, 1e125)]
 # circulations +-1e60 spaced 1e-100: forces 1e220, Jacobian entries 1e320
 JACOBIAN_OVERFLOW_ROWS = [(-1e-100, 0.0, 1e60), (0.0, 0.0, -1e60), (1e-100, 0.0, 1e60)]
 
+# each force term near 1e308, their sum on vortex 0 beyond the float range
+FORCE_SUM_OVERFLOW_ROWS = [(0.0, 0.0, 1e200), (-0.9, 0.3, 1e108), (-0.9, -0.3, 1e108)]
+
+# finite forces whose modulus overflows: vortex 0's is 2.1e308
+FORCE_MODULUS_OVERFLOW_ROWS = [
+    (0.0, 0.0, 1.26e154),
+    (-math.sqrt(0.5), -math.sqrt(0.5), 1.26e154),
+    (-3.0 * math.sqrt(0.5), -3.0 * math.sqrt(0.5), 1.26e154),
+]
+
+# d_j d_k = -1e320 at distance 1, where the logarithm is 0
+ENERGY_TERM_OVERFLOW_ROWS = [(0.0, 0.0, 1e160), (1.0, 0.0, -1e160), (3.0, 0.0, 1e160)]
+
+# a triangle of side 0.5: three finite terms of 6.8e307 sum beyond the float range
+ENERGY_SUM_OVERFLOW_ROWS = [
+    (0.0, 0.0, 7e153),
+    (0.5, 0.0, 7e153),
+    (0.25, 0.25 * math.sqrt(3.0), 7e153),
+]
+
+
+def _adler_moser_rows(n, moved=0.0):
+    """Adler-Moser ``n`` (every tau 1), each vortex moved by ``moved`` of the
+    minimum separation in a seeded direction."""
+    base = equilibria.config_from_adler_moser(equilibria.adler_moser_chain(n, [1.0] * (n - 1)))
+    rng = random.Random(1)
+    step = moved * base.min_separation
+    shifted = [v.position + step * cmath.exp(2j * math.pi * rng.random()) for v in base.vortices]
+    return [(z.real, z.imag, v.circulation) for z, v in zip(shifted, base.vortices)]
+
+
 # (command, configuration rows or manifest parameters or a file's whole text,
 # expected exit code, further arguments with {tmp} for the test's directory)
 CONTRACT_CASES = {
@@ -876,6 +920,35 @@ CONTRACT_CASES = {
         2,
         ["--free", "all", "--max-iter", "5"],
     ),
+    # a force sum or a force's modulus beyond the float range names its vortex
+    "check-force-sum-overflows": ("check", FORCE_SUM_OVERFLOW_ROWS, 2),
+    "refine-force-sum-overflows": ("refine", FORCE_SUM_OVERFLOW_ROWS, 2, ["--free", "all"]),
+    "correlation-force-sum-overflows": ("correlation", FORCE_SUM_OVERFLOW_ROWS, 2),
+    "check-force-modulus-overflows": ("check", FORCE_MODULUS_OVERFLOW_ROWS, 2),
+    "refine-force-modulus-overflows": (
+        "refine",
+        FORCE_MODULUS_OVERFLOW_ROWS,
+        2,
+        ["--free", "all"],
+    ),
+    # an energy term or the energy beyond the float range, named without warnings
+    "energy-term-overflows": ("energy", ENERGY_TERM_OVERFLOW_ROWS, 2),
+    "energy-term-of-huge-circulations-overflows": ("energy", FORCE_SUM_OVERFLOW_ROWS, 2),
+    "energy-sum-overflows": ("energy", ENERGY_SUM_OVERFLOW_ROWS, 2),
+    # framed forces of 1.28e308, whose double overflows: the bound is not finite, unwarned
+    "correlation-circulation-8e153": ("correlation", _huge_pair(8e153), 2),
+    # a squared separation that underflows to zero divides the Jacobian by zero
+    "refine-jacobian-divides-by-zero": (
+        "refine",
+        [(0.0, 0.0, 1.0), (1e-200, 0.0, 1.0)],
+        2,
+        ["--free", "all"],
+    ),
+    # a far start on the Adler-Moser continuum, which the damped step refines
+    "refine-adler-moser-6-far-start": ("refine", _adler_moser_rows(6, 0.3), 0, ["--free", "all"]),
+    # the limit lies within its bar at Adler-Moser equilibria, N = 9 and 36
+    "correlation-adler-moser-3": ("correlation", _adler_moser_rows(3), 0),
+    "correlation-adler-moser-6": ("correlation", _adler_moser_rows(6), 0),
     # the contour form's trapezoid bound must be finite
     "correlation-eps-1e-90": ("correlation", COLLINEAR_ROWS, 0, ["--eps-list", "1e-90,1e-91"]),
     "correlation-eps-1e-110": ("correlation", COLLINEAR_ROWS, 2, ["--eps-list", "1e-100,1e-110"]),
@@ -888,7 +961,13 @@ CONTRACT_CASES = {
         2,
         ["--eps-list", "9.7e-243,4.0e-307"],
     ),
-    # the contour form takes any eps below half the separation
+    # the contour form takes any eps below half the separation, and no other
+    "correlation-eps-at-half-separation": (
+        "correlation",
+        COLLINEAR_ROWS,
+        2,
+        ["--eps-list", "0.5,0.1"],
+    ),
     "correlation-eps-below-half-separation": (
         "correlation",
         COLLINEAR_ROWS,
@@ -941,6 +1020,7 @@ CONTRACT_CASES = {
     "replay-refine-zero-tol": ("refine", {"free": "all", "tol": 0, "max_iter": 50}, 2),
     "replay-refine-no-free": ("refine", {"tol": 1e-12, "max_iter": 50}, 2),
     "replay-check-text-tol": ("check", {"tol": "x"}, 2),
+    "replay-check-zero-tol": ("check", {"tol": 0}, 2),
     "replay-correlation-text-eps-list": ("correlation", {"eps_list": "0.2,x"}, 2),
     "replay-correlation-eps-list-is-a-list": ("correlation", {"eps_list": [0.2, 0.1]}, 2),
     "replay-energy-no-parameters": ("energy", None, 2),
@@ -990,6 +1070,8 @@ CONTRACT_CASES = {
         2,
     ),
     "replay-not-a-manifest": (None, '{"command": "energy"}', 2),
+    # argparse rejects it: its usage, then the command's name and the error
+    "adler-moser-n-0": ("adler-moser", None, 2, ["--n", "0"]),
     "adler-moser-out-unwritable": (
         "adler-moser",
         None,
@@ -1018,6 +1100,26 @@ CONTRACT_MESSAGES = {
     "refine-force-overflows": "error: the force term of vortices 0 and 1 overflows the",
     "refine-jacobian-overflows": "error: the Newton Jacobian overflows the floating-point "
     "range: circulations up to 1.000e+60 at separations down to 1.000e-100",
+    "check-force-sum-overflows": "error: the force on vortex 0 overflows the floating-point "
+    "range (circulation 1.000e+200)",
+    "refine-force-sum-overflows": "error: the force on vortex 0 overflows the floating-point",
+    "correlation-force-sum-overflows": "error: the force on vortex 0 overflows the",
+    "check-force-modulus-overflows": "error: the force on vortex 0 overflows the "
+    "floating-point range (circulation 1.260e+154)",
+    "refine-force-modulus-overflows": "error: the force on vortex 0 overflows the",
+    "energy-term-overflows": "error: the energy term of vortices 0 and 1 overflows the "
+    "floating-point range (circulations 1.000e+160 and -1.000e+160)",
+    "energy-term-of-huge-circulations-overflows": "error: the energy term of vortices 0 and 1 "
+    "overflows the floating-point range (circulations 1.000e+200 and 1.000e+108)",
+    "energy-sum-overflows": "error: the energy overflows the floating-point range",
+    "correlation-circulation-8e153": "error: the contour form's bound at excision radius 0.2",
+    "refine-jacobian-divides-by-zero": "error: the Newton Jacobian overflows the floating-point "
+    "range: circulations up to 1.000e+00 at separations down to 1.000e-200",
+    "correlation-eps-at-half-separation": "error: excision radius 0.5 is not below half the "
+    "separation, 0.5",
+    "replay-check-zero-tol": "error: --tol must be > 0",
+    "adler-moser-n-0": "vortexcorr adler-moser: error: argument --n: must be a positive "
+    "integer (got '0')",
     "config-not-an-object": "expected an object with a 'vortices' list",
     "config-vortices-not-a-list": "'vortices' must be a list",
     "config-vortex-not-an-object": "vortex 0 must be an object with keys x, y, d",
@@ -1032,6 +1134,10 @@ CONTRACT_MESSAGES = {
     "adler-moser-out-unwritable": "error: cannot write",
 }
 assert set(CONTRACT_MESSAGES) <= set(CONTRACT_CASES)
+
+# cases that argparse rejects: its usage first, then "vortexcorr ...: error: ..."
+CONTRACT_ARGPARSE_CASES = {"adler-moser-n-0"}
+assert CONTRACT_ARGPARSE_CASES <= set(CONTRACT_MESSAGES)
 
 # cases that still break the contract, by case
 CONTRACT_XFAILS = {}
@@ -1079,7 +1185,7 @@ def test_exit_code_contract(capsys, tmp_path, case):
         payload = strict_loads(out)
         assert payload["value"] <= payload["abs_error_estimate"]
     if expected == 2:
-        assert err.startswith("error: ")
+        assert err.startswith("usage: " if case in CONTRACT_ARGPARSE_CASES else "error: ")
     if expected == 5:
         assert err.endswith("; try perturbing the tau parameters\n")
     # no numpy warning reaches stderr, and correlation has no error target
@@ -1087,6 +1193,71 @@ def test_exit_code_contract(capsys, tmp_path, case):
     if command == "correlation":
         assert "target" not in err
     assert CONTRACT_MESSAGES.get(case, "") in err
+
+
+def _fuzz_runs(rng, directory):
+    """A configuration near the float range's edges and its four commands."""
+    n = rng.randint(1, 5)
+    scale = 10.0 ** rng.uniform(-300.0, 300.0)
+    strength = rng.uniform(-150.0, 150.0)
+    rows = [
+        (
+            scale * rng.uniform(-1.0, 1.0),
+            scale * rng.uniform(-1.0, 1.0),
+            rng.choice((-1.0, 1.0)) * 10.0 ** min(strength + rng.uniform(0.0, 50.0), 200.0),
+        )
+        for _ in range(n)
+    ]
+    path = write_config(directory / "fuzz.json", rows)
+    correlation = ["correlation", path]
+    if rng.random() < 0.5:
+        # relative to the scale or anywhere in the float range, not always decreasing
+        exponents = [
+            math.log10(scale) + rng.uniform(-10.0, 0.0) if rng.random() < 0.5
+            else rng.uniform(-320.0, 308.0)
+            for _ in range(rng.randint(1, 4))
+        ]
+        eps_list = ",".join(repr(10.0**x) for x in sorted(exponents, reverse=True))
+        correlation += ["--eps-list", eps_list]
+    return rows, [
+        ["energy", path],
+        ["check", path],
+        correlation,
+        ["refine", path, "--free", "all", "--max-iter", "5"],
+    ]
+
+
+def test_seeded_extreme_inputs_keep_the_exit_code_contract(capsys, tmp_path):
+    # positions near 10^+-300 and circulations near 10^+-150, up to 1e200:
+    # every run exits with a documented code, raises nothing and warns nothing,
+    # names its failure, and exits 4 only from refine's non-convergence or a
+    # failed linear-algebra solve
+    rng = random.Random(7)
+    failures = []
+    runs = 0
+    while runs < 1000:
+        rows, commands = _fuzz_runs(rng, tmp_path)
+        for argv in commands:
+            runs += 1
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    code = main(argv)
+                except Exception as exc:  # a bug: no exception may escape main
+                    code = f"raised {exc!r}"
+            out, err = capsys.readouterr()
+            outcome = (argv[0], argv[2:], rows, code, err[:120])
+            if caught:
+                failures.append((*outcome, [str(w.message) for w in caught]))
+            elif code not in (0, 2, 3, 4):
+                failures.append(outcome)
+            elif code == 4:
+                refine_stopped = argv[0] == "refine" and json.loads(out)["converged"] is False
+                if not (refine_stopped or err.startswith("error: SVD did not converge")):
+                    failures.append(outcome)
+            elif code != 0 and not err.startswith("error: "):
+                failures.append(outcome)
+    assert failures == []
 
 
 def test_radius_is_not_an_option(capsys, collinear_file):
