@@ -161,14 +161,16 @@ def _contour_A_eps(
     ``V`` and of the sum cancel; ``(conj(g_m) log eps^2 + V_m(a_m)) phi^2``,
     ``V_m(a_m)`` the rest of ``V`` at the centre, is done by residues.  The
     remainder is analytic in ``w = z - a_m`` for ``eps/rho < |w| < eps rho``,
-    ``rho`` the minimum separation over ``eps``.  With ``s = sqrt(rho)`` the
+    ``rho`` the minimum separation over ``eps``.  For any ``1 < s < rho`` the
     ``M``-node trapezoid rule errs by at most ``4 pi K / (s^M - 1)``, ``K``
     bounding the remainder times ``w`` on ``eps/s <= |w| <= eps s``
-    (Trefethen & Weideman, SIAM Rev. 56, 2014); ``M`` is the least count
+    (Trefethen & Weideman, SIAM Rev. 56, 2014).  ``M`` is the least count
     that puts their sum below ``2^-53 pi S``, ``S`` bounding the summed
-    magnitudes.
+    magnitudes, on ``s = rho^(1/2)`` or ``rho^(7/8)``; an ``eps`` whose bound
+    at ``rho^(1/2)`` is not finite is rejected.
 
-    The eps-free forces, neighbour geometry and centre terms are built once.
+    The eps-free forces, neighbour geometry and centre terms are built once,
+    and every ``K`` and ``S`` in one array; no estimate depends on the others.
     Each error is that bound, ``K`` bounded term by term, plus the rounding
     estimate ``(N + M + 8) 2^-53 pi S``; ``alpha = -2 pi sum_m |g_m|^2``.
     All come back in the caller's units.
@@ -181,44 +183,54 @@ def _contour_A_eps(
         # no other vortex: U vanishes on the circle, and so do the forces
         return [QuadratureResult(0.0, 0.0, 0.0, 0) for _ in epsilons], 0.0
     a, d = np.asarray(frame.positions), np.asarray(frame.circulations)
-    # axes: circle m, node, the vortices j != m
-    j = np.array([[k for k in range(n) if k != m] for m in range(n)])[:, None, :]
+    # axes: circle m, node, the vortices j != m (the n x n grid's off-diagonal)
+    j = np.arange(1, n * n).reshape(n - 1, n + 1)[:, :n].reshape(n, 1, n - 1) % n
     b, dj = a[j] - a[:, None, None], d[j]
     dist = np.abs(b)
 
-    def k_max(x: float, inner: float) -> np.ndarray:
-        # |remainder w| per circle on inner <= |w| <= x, with eps^2/|w| <= x, so
-        # that |u| >= dist - x and |w/b|, |eps^2/(w conj(b))| <= x/dist
-        room = dist - x
-        v_max = dj * dj * x / (dist * room) - 2.0 * np.abs(gj) * np.log1p(-x / dist)
-        phi_max = np.abs(d) / inner + (np.abs(dj) / room).sum(axis=(1, 2))
-        squares = (dj**4 / room**3).sum(axis=(1, 2))
-        return x * (v_max.sum(axis=(1, 2)) * phi_max**2 + squares)
-
+    frame_eps = np.asarray(epsilons, dtype=float) * shrink
     # a tiny eps or huge circulations overflow the bounds: rejected below, unwarned
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         g = 2.0 * np.asarray(frame_forces)
         gj = g[j]
         centre_max = (dj * dj / dist + np.abs(gj * np.log(dist * dist))).sum(axis=(1, 2))
         centre = (dj * dj / np.conj(b) + np.conj(gj) * np.log(dist * dist)).sum(axis=(1, 2))
+        # s = 1 (the circle, whose bound scales the target), rho^(1/2) and rho^(7/8)
+        rho = frame.min_separation / frame_eps
+        factors = np.stack([np.ones_like(rho), np.sqrt(rho), rho**0.875], axis=1)
+        # |remainder w| per circle on eps/s <= |w| <= x = eps s, with eps^2/|w| <= x,
+        # so that |u| >= dist - x and |w/b|, |eps^2/(w conj(b))| <= x/dist
+        x = (frame_eps[:, None] * factors)[..., None, None, None]
+        room = dist - x
+        v_max = dj * dj * x / (dist * room) - 2.0 * np.abs(gj) * np.log1p(-x / dist)
+        inner = (frame_eps[:, None] / factors)[..., None]
+        phi_max = np.abs(d) / inner + (np.abs(dj) / room).sum(axis=(3, 4))
+        squares = (dj**4 / room**3).sum(axis=(3, 4))
+        k_max = x[..., 0, 0] * (v_max.sum(axis=(3, 4)) * phi_max**2 + squares)
     estimates = []
-    for e in epsilons:
-        epsilon = e * shrink
+    for e, epsilon, annuli, (circle, *k_annuli) in zip(
+        epsilons, frame_eps.tolist(), factors[:, 1:].tolist(), k_max
+    ):
         unbounded = f"the contour form's bound at excision radius {e} is not finite"
         # log eps^2 and sep / eps need a framed square that does not underflow
         if not epsilon * epsilon > 0.0:
             raise ValueError(unbounded)
-        s = math.sqrt(frame.min_separation / epsilon)
         with np.errstate(over="ignore", invalid="ignore"):
-            outer = math.fsum(k_max(epsilon * s, epsilon / s))
             residue_max = np.abs(g) * (np.abs(g) * abs(math.log(epsilon * epsilon)) + centre_max)
             # bounds every summed magnitude, on the circle and in the residues
-            scale = math.fsum(k_max(epsilon, epsilon) + residue_max)
-        excess = 2.0**54 * outer / scale
-        if not math.isfinite(excess):
+            scale = math.fsum(circle + residue_max)
+            # an annulus whose terms sum past the float range has no bound
+            outers = [math.fsum(k) if np.isfinite(k.sum()) else math.inf for k in k_annuli]
+        excess = [2.0**54 * outer / scale for outer in outers]
+        if not math.isfinite(excess[0]):
             raise ValueError(unbounded)
-        # the least node count whose trapezoid bound is below 2^-53 pi scale
-        nodes = math.ceil(math.log1p(excess) / math.log(s))
+        # the least node count whose trapezoid bound is below 2^-53 pi scale, over
+        # the annuli with a finite bound; a tie keeps theta = 1/2, the smaller s
+        nodes, s, outer = min(
+            (math.ceil(math.log1p(over) / math.log(s)), s, outer)
+            for over, s, outer in zip(excess, annuli, outers)
+            if math.isfinite(over)
+        )
         w = epsilon * np.exp(2j * math.pi / nodes * np.arange(nodes))
         u, ratio = w[:, None] - b, w[:, None] / b
         # V_m - V_m(a_m), with log|1 - w/b|^2 taken without rounding 1 - w/b
@@ -258,7 +270,7 @@ def _frame(config: VortexConfiguration) -> tuple[VortexConfiguration, float]:
     if abs(k) > 500:
         raise ValueError(f"the coordinate scale 2**{k} is out of floating-point range")
     shrink = math.ldexp(1.0, -k)
-    xy = np.array([(a.real, a.imag) for a in config.positions])
+    xy = np.array(config.positions).view(float).reshape(-1, 2)
     xy = (xy - np.round(xy.mean(axis=0) * shrink) / shrink) * shrink
     frame = VortexConfiguration.from_coordinates(
         (x, y, d) for (x, y), d in zip(xy.tolist(), config.circulations)
@@ -419,7 +431,7 @@ def correlation_limit(
     Every ``A_eps_i``, and ``alpha``, comes from one pass of the contour form
     :func:`_contour_A_eps`, with its trapezoid and rounding bound, all finite
     in the caller's units, as are the limit and bar.  The contour form's rule
-    on ``eps``: the largest must lie below half the minimum separation, so
+    on ``eps``: all finite, the largest below half the minimum separation, so
     the trapezoid factor ``sqrt(sep / eps)`` is at least ``sqrt(2)`` and the
     node count stays bounded; a single vortex takes any positive ``eps``.
     ``spec`` is ignored: ``bench/workloads.py`` still passes one, and the
@@ -437,6 +449,9 @@ def correlation_limit(
     change in the limit when the first point of the fit is dropped.
     """
     eps = [float(e) for e in epsilons]
+    for e in eps:
+        if not math.isfinite(e):
+            raise ValueError(f"excision radius {e} is not finite")
     if len(eps) < 2:
         raise ValueError("need at least two epsilon values")
     for a, b in zip(eps, eps[1:]):

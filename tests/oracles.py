@@ -93,9 +93,12 @@ def eps_series(config, epsilon, terms=40):
     ordered pair integrates to zero over the plane minus its own two disks,
     so only the other vortices' disks remain, and on the disk about ``a_m``
     the pair terms sum to ``|h_m|^2 - sum_{j!=m} |T_j|^2`` with ``h_m`` the
-    Taylor series ``sum_n (sum_j c_jmn) (z - a_m)^n``.  The terms fall like
-    ``(eps / |a_m - a_j|)^(2n)``; the fixed ``terms`` count leaves under
-    ``0.04^40`` at ``eps`` up to a fifth of the minimum separation.
+    Taylor series ``sum_n (sum_j c_jmn) (z - a_m)^n``.  Each term is formed
+    from ``eps^(n+1) c_jmn = d_j^2 (n+1) (-1)^n (eps / gap)^(n+1) / gap``,
+    ``gap = a_m - a_j``, whose powers fall like ``(eps / |gap|)^n`` and so
+    underflow rather than overflow at any ``terms``.  The fixed ``terms``
+    count leaves under ``0.04^40`` at ``eps`` up to a fifth of the minimum
+    separation.
     """
     pos = config.positions
     circ = config.circulations
@@ -104,10 +107,10 @@ def eps_series(config, epsilon, terms=40):
         others = [(d * d, am - a) for j, (a, d) in enumerate(zip(pos, circ)) if j != m]
         for n in range(terms):
             sign = -1.0 if n % 2 else 1.0
-            cs = [d2 * (n + 1) * sign / gap ** (n + 2) for d2, gap in others]
+            cs = [d2 * (n + 1) * sign * (epsilon / gap) ** (n + 1) / gap for d2, gap in others]
             h = complex(math.fsum(c.real for c in cs), math.fsum(c.imag for c in cs))
             diagonal = math.fsum(abs(c) ** 2 for c in cs)
-            total.append(epsilon ** (2 * n + 2) / (n + 1) * (abs(h) ** 2 - diagonal))
+            total.append((abs(h) ** 2 - diagonal) / (n + 1))
     return -math.pi * math.fsum(total)
 
 

@@ -23,7 +23,7 @@ from vortexcorr import (
 )
 from vortexcorr.cli import build_parser, main
 
-from conftest import GENERIC_N5
+from conftest import GENERIC_N5, polygon_plus_centre
 from oracles import finite_part
 
 
@@ -887,6 +887,8 @@ def _adler_moser_rows(n, moved=0.0):
     return [(z.real, z.imag, v.circulation) for z, v in zip(shifted, base.vortices)]
 
 
+POLYGON_CENTRE_100 = polygon_plus_centre(99).vortices
+
 # (command, configuration rows or manifest parameters or a file's whole text,
 # expected exit code, further arguments with {tmp} for the test's directory)
 CONTRACT_CASES = {
@@ -908,6 +910,13 @@ CONTRACT_CASES = {
     # the bound rejects huge circulations before alpha squares their forces
     "correlation-circulation-1e77": ("correlation", _huge_pair(1e77), 2),
     "correlation-circulation-1e80": ("correlation", _huge_pair(1e80), 2),
+    # ... also where the bound on the wider annulus rho^(7/8) sums past the float range
+    "correlation-circulation-1e76-eps-0.45": (
+        "correlation",
+        [(0.0, 0.0, 1e76), (1e-20, 0.0, 1e76)],
+        2,
+        ["--eps-list", "4.5e-21,1e-21"],
+    ),
     # ... and at 1e160 the forces overflow, named without numpy warnings
     "correlation-circulation-1e160": ("correlation", _huge_pair(1e160), 2),
     # a force term beyond the float range names its pair, before fsum sees it
@@ -949,10 +958,18 @@ CONTRACT_CASES = {
     # the limit lies within its bar at Adler-Moser equilibria, N = 9 and 36
     "correlation-adler-moser-3": ("correlation", _adler_moser_rows(3), 0),
     "correlation-adler-moser-6": ("correlation", _adler_moser_rows(6), 0),
+    # ... and at a 99-gon with its centre, the contour form at N = 100
+    "correlation-polygon-centre-100": (
+        "correlation",
+        [(v.position.real, v.position.imag, v.circulation) for v in POLYGON_CENTRE_100],
+        0,
+    ),
     # the contour form's trapezoid bound must be finite
     "correlation-eps-1e-90": ("correlation", COLLINEAR_ROWS, 0, ["--eps-list", "1e-90,1e-91"]),
     "correlation-eps-1e-110": ("correlation", COLLINEAR_ROWS, 2, ["--eps-list", "1e-100,1e-110"]),
     "correlation-eps-1e-160": ("correlation", COLLINEAR_ROWS, 2, ["--eps-list", "1e-160,1e-170"]),
+    # an eps that is not finite is named, before the order is checked
+    "correlation-eps-nan": ("correlation", COLLINEAR_ROWS, 2, ["--eps-list", "0.1,nan"]),
     # an eps whose framed square underflows, at unit scale and in a wide frame
     "correlation-eps-1e-300": ("correlation", COLLINEAR_ROWS, 2, ["--eps-list", "0.1,1e-300"]),
     "correlation-eps-underflows-in-the-frame": (
@@ -1088,12 +1105,15 @@ CONTRACT_MESSAGES = {
     "correlation-scale-1e-160": "error: the coordinate scale 2**-530 is out of floating-point",
     "correlation-values-overflow": "error: A_eps at the excision radii [2e-152, 1e-152, 5e-153]",
     "pair-integral-scale-1e152": "error: the coordinate scale 2**505 is out of floating-point",
+    "correlation-eps-nan": "error: excision radius nan is not finite",
     "correlation-eps-1e-110": "bound at excision radius 1e-110 is not finite",
     "correlation-eps-1e-160": "bound at excision radius 1e-160 is not finite",
     "correlation-eps-1e-300": "error: the contour form's bound at excision radius 1e-300 is not",
     "correlation-eps-underflows-in-the-frame": "bound at excision radius 9.7e-243 is not finite",
     "correlation-circulation-1e77": "error: the contour form's bound at excision radius 0.2 is not",
     "correlation-circulation-1e80": "error: the contour form's bound at excision radius 0.2 is not",
+    "correlation-circulation-1e76-eps-0.45": "error: the contour form's bound at excision radius "
+    "4.5e-21 is not finite",
     "correlation-circulation-1e160": "error: the force term of vortices 0 and 1 overflows the",
     "check-force-overflows": "error: the force term of vortices 0 and 1 overflows the "
     "floating-point range (circulations 1.000e+125 and 1.000e+125)",

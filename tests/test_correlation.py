@@ -548,29 +548,35 @@ def test_correlation_limit_validates_epsilons():
     for eps in ([0.2, 0.0], [0.2, -0.1]):
         with pytest.raises(ValueError, match="epsilons must be positive"):
             correlation_limit(collinear_triple(), eps, spec)
+    # a value that is not finite is named before the order is checked, which
+    # at 0.22.1 called nan in either place "not strictly decreasing"
+    for eps in ([math.nan, 0.1], [0.1, math.nan], [math.inf, 0.1], [0.2, -math.inf]):
+        bad = next(e for e in eps if not math.isfinite(e))
+        with pytest.raises(ValueError, match=f"excision radius {bad} is not finite"):
+            correlation_limit(collinear_triple(), eps, spec)
 
 
-# correlation_limit at the default eps list, as version 0.20.1 computed it:
+# correlation_limit at the default eps list, as version 0.23.0 computes it:
 # the limit, its bar and every estimate's (value, error)
 LIMIT_GOLDENS = {
     "collinear": (
         collinear_triple,
-        "-0x1.31771ba05ac00p-16",
-        "0x1.1b74352054f1bp-12",
+        "-0x1.31771ba020400p-16",
+        "0x1.1b74351f2d8fep-12",
         [
-            ("-0x1.0f7081914c0c2p-2", "0x1.ffa7b92a882d8p-44"),
-            ("-0x1.1cc845a3ee3e0p-4", "0x1.abf2df10e468dp-45"),
-            ("-0x1.2053e89871fa7p-6", "0x1.08c0d70f0cb57p-45"),
+            ("-0x1.0f7081914c0c1p-2", "0x1.632d5b7d41e80p-44"),
+            ("-0x1.1cc845a3ee3dap-4", "0x1.34030e7852bbep-45"),
+            ("-0x1.2053e89871efbp-6", "0x1.87fc09877668ap-46"),
         ],
     ),
     "adler_moser_3": (
         lambda: config_from_adler_moser(adler_moser_chain(3, [1.0, 1.0])),
-        "0x1.43f932bac5e00p-14",
-        "0x1.05954f54da460p-9",
+        "0x1.43f932bab4a00p-14",
+        "0x1.05954f4ff964bp-9",
         [
-            ("0x1.ded34d137647cp-3", "0x1.1fc9ef67906f6p-38"),
-            ("0x1.51be62fcb135bp-4", "0x1.c4dd300d85f6fp-40"),
-            ("0x1.6b375d511a0d4p-6", "0x1.0538d75b79b8ap-40"),
+            ("0x1.ded34d1376487p-3", "0x1.9a470501df29ap-39"),
+            ("0x1.51be62fcb137fp-4", "0x1.51861f6719184p-40"),
+            ("0x1.6b375d511a03ep-6", "0x1.9414550501207p-41"),
         ],
     ),
 }
@@ -750,6 +756,25 @@ def test_contour_sum_matches_the_exact_series(name):
         exact = eps_series(config, e)
         assert abs(est.value - exact) <= 1e-10 * abs(exact)
         assert abs(est.value - exact) <= est.abs_error_estimate
+
+
+@pytest.mark.parametrize("name", sorted(CONTOUR_CASES))
+def test_contour_bound_covers_the_exact_series_at_the_ends_of_the_eps_range(name):
+    # the wider annulus rho^(7/8) reaches within a tenth of the separation of
+    # the other vortices at 0.45 sep, and takes 11 nodes or fewer at 1e-3 sep;
+    # 80 terms leave under 0.45^160 of the series.  At 1e-3 sep the two agree
+    # only to about 1e-9 relative: no 1e-10 here
+    config = CONTOUR_CASES[name]()
+    eps = [f * config.min_separation for f in (0.45, 0.3, 1e-3)]
+    for e, est in zip(eps, _contour_A_eps(config, eps)[0]):
+        assert abs(est.value - eps_series(config, e, terms=80)) <= est.abs_error_estimate
+
+
+def test_exact_series_takes_any_term_count():
+    # 0.22.1 formed gap^-(n+2), whose square overflowed here from 80 terms
+    config = transform(collinear_triple(), Similarity(scale=1e-2))
+    e = 0.2 * config.min_separation
+    assert eps_series(config, e, terms=400) == pytest.approx(eps_series(config, e), rel=1e-14)
 
 
 @pytest.mark.parametrize("name", sorted(CONTOUR_CASES))
