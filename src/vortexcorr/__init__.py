@@ -42,7 +42,7 @@ from .correlation import (
     pair_integral,
 )
 
-__version__ = "0.23.0"
+__version__ = "0.23.1"
 
 __all__ = [
     "__version__",

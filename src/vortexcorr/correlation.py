@@ -19,13 +19,12 @@ rounding with a proven bound, and no truncation radius or cell enters.
 it truncates to a disk ``B_R``, integrates adaptively and adds the exact
 far-field tail.
 
-Every integral of a configuration runs in the frame ``(z - t) / 2^k``
-that :func:`_frame` picks from the centroid and the diameter (only the
-engine entries :func:`_integrate` and :func:`_contour_A_eps` frame), so a
-configuration far from the origin, or at any scale within ``2^+-500``,
-meets the floating-point range of one of unit size.  Values and errors come
-back to the caller's units by a power-of-two factor, which is exact, and so
-do the lengths in a misfit's message.  Each engine owns its rule on
+Every integral of a configuration runs at the scale ``2^-k`` of
+:func:`_shrink`, ``2^k`` the diameter's binade, so a configuration at any
+scale within ``2^+-500`` meets the floating-point range of one of unit
+size; only the 2D engine also moves the centroid near the origin, where its
+``B_R`` is centred.  Values, errors and a misfit's lengths come back to the
+caller's units by an exact power of two.  Each engine owns its rule on
 ``eps``: the 2D one rejects a hole with no room in ``B_R``, and
 :func:`correlation_limit` an ``eps`` of half the minimum separation or more.
 
@@ -152,7 +151,7 @@ def _contour_A_eps(
     config: VortexConfiguration, epsilons: Sequence[float]
 ) -> tuple[list[QuadratureResult], float]:
     """``A_eps`` by Stokes' theorem at each of ``epsilons``, with a bound, and
-    ``alpha``: one pass over ``config`` in the frame of :func:`_frame`.
+    ``alpha``: one pass over ``config`` as given, lengths scaled by :func:`_shrink`.
 
     ``U = V phi^2 + sum_j d_j^4 / (conj(z-a_j) (z-a_j)^2)`` with ``V = -sum_j
     d_j^2/conj(z-a_j) + sum_j conj(g_j) log|z-a_j|^2`` has ``dU/dz-bar`` equal
@@ -175,17 +174,18 @@ def _contour_A_eps(
     estimate ``(N + M + 8) 2^-53 pi S``; ``alpha = -2 pi sum_m |g_m|^2``.
     All come back in the caller's units.
     """
-    frame, shrink = _frame(config)
-    area = shrink * shrink
-    frame_forces = forces(frame)
-    n = len(frame)
+    n = len(config)
     if n == 1:
         # no other vortex: U vanishes on the circle, and so do the forces
         return [QuadratureResult(0.0, 0.0, 0.0, 0) for _ in epsilons], 0.0
-    a, d = np.asarray(frame.positions), np.asarray(frame.circulations)
+    shrink = _shrink(config)
+    area = shrink * shrink
+    # a force scales as 1/length: the frame's forces, exactly
+    frame_forces = [f / shrink for f in forces(config)]
+    d = np.asarray(config.circulations)
     # axes: circle m, node, the vortices j != m (the n x n grid's off-diagonal)
     j = np.arange(1, n * n).reshape(n - 1, n + 1)[:, :n].reshape(n, 1, n - 1) % n
-    b, dj = a[j] - a[:, None, None], d[j]
+    b, dj = config._differences[j, np.arange(n)[:, None, None]] * shrink, d[j]
     dist = np.abs(b)
 
     frame_eps = np.asarray(epsilons, dtype=float) * shrink
@@ -196,7 +196,7 @@ def _contour_A_eps(
         centre_max = (dj * dj / dist + np.abs(gj * np.log(dist * dist))).sum(axis=(1, 2))
         centre = (dj * dj / np.conj(b) + np.conj(gj) * np.log(dist * dist)).sum(axis=(1, 2))
         # s = 1 (the circle, whose bound scales the target), rho^(1/2) and rho^(7/8)
-        rho = frame.min_separation / frame_eps
+        rho = config.min_separation * shrink / frame_eps
         factors = np.stack([np.ones_like(rho), np.sqrt(rho), rho**0.875], axis=1)
         # |remainder w| per circle on eps/s <= |w| <= x = eps s, with eps^2/|w| <= x,
         # so that |u| >= dist - x and |w/b|, |eps^2/(w conj(b))| <= x/dist
@@ -249,33 +249,16 @@ def _contour_A_eps(
     return estimates, alpha
 
 
-def _binade(config: VortexConfiguration) -> int:
-    """``k`` with the diameter in ``[2^(k-1), 2^k)``; 0 for a single vortex."""
-    return math.frexp(config.diameter)[1]
+def _shrink(config: VortexConfiguration) -> float:
+    """``2^-k``, ``2^k`` the binade of the diameter (``k`` = 0 for one vortex).
 
-
-def _frame(config: VortexConfiguration) -> tuple[VortexConfiguration, float]:
-    """``config`` in the frame ``w = (z - t) / 2^k``, and ``2^-k``.
-
-    ``2^k`` is the binade of the diameter and ``t`` the centroid rounded to a
-    multiple of ``2^k`` per component, so the frame diameter lies in
-    ``[1/2, 1)`` and ``B_R`` is centred at ``t``.  Lengths scale by ``2^-k`` and integrals
-    by ``4^-k``, exactly; ``t = 0`` when the centroid lies within ``2^(k-1)``
-    of the origin, so such configurations keep their bits.  This is the one
-    rule on the positions' scale: ``|k| <= 500`` keeps ``4^-k`` within
-    ``2^+-1000``, among the normal floats.  The 2D engine also checks its
-    framed target, and :func:`correlation_limit` the range of its results.
+    The one rule on the positions' scale: ``|k| <= 500`` keeps the exact
+    factor ``4^-k`` of integrals within ``2^+-1000``, among the normal floats.
     """
-    k = _binade(config)
+    k = math.frexp(config.diameter)[1]
     if abs(k) > 500:
         raise ValueError(f"the coordinate scale 2**{k} is out of floating-point range")
-    shrink = math.ldexp(1.0, -k)
-    xy = np.array(config.positions).view(float).reshape(-1, 2)
-    xy = (xy - np.round(xy.mean(axis=0) * shrink) / shrink) * shrink
-    frame = VortexConfiguration.from_coordinates(
-        (x, y, d) for (x, y), d in zip(xy.tolist(), config.circulations)
-    )
-    return frame, shrink
+    return math.ldexp(1.0, -k)
 
 
 def _integrate(
@@ -285,31 +268,40 @@ def _integrate(
     tail: Callable[[VortexConfiguration, float], complex],
 ) -> tuple[complex, float, complex, int, bool]:
     """The one 2D entry: ``kernel(frame, z)`` over ``B_R`` minus the holes plus
-    ``tail(frame, R)``, in the frame of :func:`_frame`, with eps and ``R``
-    moved there by ``2^-k`` and the target, which must stay a positive float,
-    by ``4^k``.  Returns ``(value with tail, error, tail, cells_used,
-    converged)`` in the caller's units; a misfit names the caller's lengths.
-    Near a tiny hole the kernel overflows, unwarned: a value that is not
-    finite is rejected too, naming the caller's eps.
+    ``tail(frame, R)`` in the frame ``w = (z - t) / 2^k``, ``2^-k`` from
+    :func:`_shrink` and ``t`` the centroid rounded to a multiple of ``2^k``,
+    so ``B_R`` is centred at ``t`` (``t = 0``, keeping the bits, within
+    ``2^(k-1)`` of the origin).  Eps and ``R`` move there by ``2^-k`` and the
+    target, which must stay a positive float, by ``4^k``.  Returns ``(value
+    with tail, error, tail, cells_used, converged)`` in the caller's units; a
+    misfit names the caller's lengths.  Near a tiny hole the kernel, and with
+    huge circulations the tail, overflow unwarned: a total that is not finite
+    is rejected, naming the caller's eps.
     """
-    frame, shrink = _frame(config)
+    shrink = _shrink(config)
+    xy = np.array(config.positions).view(float).reshape(-1, 2)
+    xy = (xy - np.round(xy.mean(axis=0) * shrink) / shrink) * shrink
+    frame = VortexConfiguration.from_coordinates(
+        (x, y, d) for (x, y), d in zip(xy.tolist(), config.circulations)
+    )
     eps, radius = spec.epsilon * shrink, spec.cutoff_radius * shrink
     target = spec.target_abs_error / shrink / shrink
     if not 0.0 < target < math.inf:
-        message = f"the coordinate scale 2**{_binade(config)} puts the error target"
-        raise ValueError(f"{message} {spec.target_abs_error} out of floating-point range")
+        message = f"the coordinate scale 2**{math.frexp(config.diameter)[1]} puts the error"
+        raise ValueError(f"{message} target {spec.target_abs_error} out of floating-point range")
     try:
         with np.errstate(all="ignore"):
             raw, err, cells, converged = integrate_excised_disk(
                 lambda zs: kernel(frame, zs), frame.positions, eps, radius, target, spec.max_cells
             )
+            exact = tail(frame, radius)
     except _Misfit as misfit:
         template, *lengths = misfit.args
         raise _Misfit(template, *(x / shrink for x in lengths)) from None
-    if not cmath.isfinite(raw):
+    total, area = raw + exact, shrink * shrink
+    if not cmath.isfinite(total):
         raise ValueError(f"the 2D integral at excision radius {spec.epsilon} is not finite")
-    exact, area = tail(frame, radius), shrink * shrink
-    return (raw + exact) * area, err * area, exact * area, cells, converged
+    return total * area, err * area, exact * area, cells, converged
 
 
 def pair_integral(
@@ -475,13 +467,13 @@ def correlation_limit(
 
 
 def default_quadrature_spec(config: VortexConfiguration) -> QuadratureSpec:
-    """Defaults: ``eps = 0.1 * min separation``, ``R = 4 * 2^k`` with ``2^k``
-    the binade of the diameter (so ``R`` is 4 in the frame of :func:`_frame`),
-    and :class:`QuadratureSpec`'s own target and cell budget."""
+    """Defaults: ``eps = 0.1 * min separation``, ``R = 4 / 2^-k`` with ``2^-k``
+    from :func:`_shrink` (4 in the frame), and :class:`QuadratureSpec`'s own
+    target and cell budget."""
     sep = config.min_separation
     return QuadratureSpec(
         epsilon=0.1 * sep if math.isfinite(sep) else 0.1,
-        cutoff_radius=math.ldexp(4.0, _binade(config)),
+        cutoff_radius=4.0 / _shrink(config),
     )
 
 

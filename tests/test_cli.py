@@ -921,6 +921,13 @@ CONTRACT_CASES = {
     "correlation-circulation-1e160": ("correlation", _huge_pair(1e160), 2),
     # a force term beyond the float range names its pair, before fsum sees it
     "check-force-overflows": ("check", FORCE_OVERFLOW_ROWS, 2),
+    # the contour form takes the forces in the caller's units, as check does:
+    # at scale 2^-400 a force term of circulations 1e100 overflows there
+    "correlation-force-term-overflows": (
+        "correlation",
+        [(2.0**-400 * x, y, 1e100 * d) for x, y, d in COLLINEAR_ROWS],
+        2,
+    ),
     "refine-force-overflows": ("refine", FORCE_OVERFLOW_ROWS, 2, ["--free", "all"]),
     # finite forces, a Jacobian beyond the float range
     "refine-jacobian-overflows": (
@@ -1024,6 +1031,13 @@ CONTRACT_CASES = {
         2,
         ["--p", "0,0", "--q", "1e152,0", "--eps", "1e151"],
     ),
+    # the default spec's radius takes the one scale rule: no overflow at 2^1022
+    "pair-integral-coordinates-3e307": (
+        "pair-integral",
+        None,
+        2,
+        ["--p", "0,0", "--q", "3e307,0", "--eps", "0.1"],
+    ),
     # coincident vortices are an invariant violation, not a usage error
     "pair-integral-coincident": (
         "pair-integral",
@@ -1049,6 +1063,20 @@ CONTRACT_CASES = {
         "adler-moser",
         {"n": 8, "tau_list": "1,1,1,1,1,1,1"},
         4,
+    ),
+    # the construction's backstops: roots that nearly coincide, and roots far
+    # from equilibrium that pass the derivative test
+    "adler-moser-roots-too-close": (
+        "adler-moser",
+        None,
+        5,
+        ["--n", "3", "--tau-list", "8.62036e-175,-0.597019"],
+    ),
+    "adler-moser-far-from-equilibrium": (
+        "adler-moser",
+        None,
+        5,
+        ["--n", "6", "--tau-list", "1.62289,5e-324,-1.50097e-104,-0,-0"],
     ),
     # the chain fails at its first failing step, before later steps overflow
     "adler-moser-n20-chain-defect": (
@@ -1105,6 +1133,15 @@ CONTRACT_MESSAGES = {
     "correlation-scale-1e-160": "error: the coordinate scale 2**-530 is out of floating-point",
     "correlation-values-overflow": "error: A_eps at the excision radii [2e-152, 1e-152, 5e-153]",
     "pair-integral-scale-1e152": "error: the coordinate scale 2**505 is out of floating-point",
+    "pair-integral-coordinates-3e307": "error: the coordinate scale 2**1022 is out of "
+    "floating-point range",
+    "correlation-force-term-overflows": "error: the force term of vortices 0 and 1 overflows "
+    "the floating-point range (circulations 1.000e+100 and -5.000e+99)",
+    # three roots within 1e-58 of each other, whose last bits depend on the
+    # LAPACK build: the distances are not pinned
+    "adler-moser-roots-too-close": "error: vortices 0 and 1 are separated by ",
+    "adler-moser-far-from-equilibrium": "error: the constructed configuration is far from "
+    "equilibrium; the chain parameters look degenerate",
     "correlation-eps-nan": "error: excision radius nan is not finite",
     "correlation-eps-1e-110": "bound at excision radius 1e-110 is not finite",
     "correlation-eps-1e-160": "bound at excision radius 1e-160 is not finite",
@@ -1215,8 +1252,22 @@ def test_exit_code_contract(capsys, tmp_path, case):
     assert CONTRACT_MESSAGES.get(case, "") in err
 
 
+def _fuzz_tau(rng):
+    """An Adler-Moser parameter near 10^+-300, subnormal, a signed zero or of unit size."""
+    sign = rng.choice((-1.0, 1.0))
+    return rng.choice(
+        (
+            sign * 10.0 ** rng.uniform(-300.0, 300.0),
+            sign * 5e-324 * rng.randint(1, 2**52),
+            sign * 0.0,
+            rng.uniform(-2.0, 2.0),
+        )
+    )
+
+
 def _fuzz_runs(rng, directory):
-    """A configuration near the float range's edges and its four commands."""
+    """A configuration near the float range's edges and its four commands, a
+    pair integral at the same scales and an Adler-Moser construction."""
     n = rng.randint(1, 5)
     scale = 10.0 ** rng.uniform(-300.0, 300.0)
     strength = rng.uniform(-150.0, 150.0)
@@ -1229,29 +1280,61 @@ def _fuzz_runs(rng, directory):
         for _ in range(n)
     ]
     path = write_config(directory / "fuzz.json", rows)
+
+    def eps_exponent(reach):
+        # relative to the scale or anywhere in the float range
+        if rng.random() < 0.5:
+            return math.log10(reach) + rng.uniform(-10.0, 0.0)
+        return rng.uniform(-320.0, 308.0)
+
     correlation = ["correlation", path]
     if rng.random() < 0.5:
-        # relative to the scale or anywhere in the float range, not always decreasing
-        exponents = [
-            math.log10(scale) + rng.uniform(-10.0, 0.0) if rng.random() < 0.5
-            else rng.uniform(-320.0, 308.0)
-            for _ in range(rng.randint(1, 4))
-        ]
+        # not always decreasing
+        exponents = [eps_exponent(scale) for _ in range(rng.randint(1, 4))]
         eps_list = ",".join(repr(10.0**x) for x in sorted(exponents, reverse=True))
         correlation += ["--eps-list", eps_list]
+    # the pair at the configuration's scale or near the top of the float range,
+    # where the frame's scale 2^k passes 2^1021
+    reach = 10.0 ** rng.uniform(305.0, 308.25) if rng.random() < 0.25 else scale
+    p, q = (
+        f"{reach * rng.uniform(-1.0, 1.0)!r},{reach * rng.uniform(-1.0, 1.0)!r}" for _ in range(2)
+    )
+    pair = [
+        "pair-integral",
+        f"--p={p}",
+        f"--q={q}",
+        f"--eps={10.0 ** eps_exponent(reach)!r}",
+        f"--max-cells={rng.randint(1, 1000)}",
+    ]
+    n = rng.randint(2, 7)
+    taus = ",".join(repr(_fuzz_tau(rng)) for _ in range(n - 1))
     return rows, [
         ["energy", path],
         ["check", path],
         correlation,
         ["refine", path, "--free", "all", "--max-iter", "5"],
+        pair,
+        ["adler-moser", f"--n={n}", f"--tau-list={taus}"],
     ]
 
 
+# what a chain that misses its gates or roots that miss their bound print
+ADLER_MOSER_NONCONVERGENCE = (
+    "error: chain polynomial ",
+    "error: chain recurrence defect ",
+    "error: companion eigenvalues failed",
+    "error: roots ",
+)
+
+
 def test_seeded_extreme_inputs_keep_the_exit_code_contract(capsys, tmp_path):
-    # positions near 10^+-300 and circulations near 10^+-150, up to 1e200:
-    # every run exits with a documented code, raises nothing and warns nothing,
-    # names its failure, and exits 4 only from refine's non-convergence or a
-    # failed linear-algebra solve
+    # positions near 10^+-300 and circulations near 10^+-150, up to 1e200,
+    # pairs up to the float range's top and Adler-Moser parameters near
+    # 10^+-300, subnormal or zero: every run exits with a documented code,
+    # raises nothing and warns nothing, names its failure, exits 4 only from
+    # a budget or iteration limit that the report shows, a failed
+    # linear-algebra solve or a chain or root that misses its gate, and 5
+    # only from a degenerate Adler-Moser construction
     rng = random.Random(7)
     failures = []
     runs = 0
@@ -1266,14 +1349,19 @@ def test_seeded_extreme_inputs_keep_the_exit_code_contract(capsys, tmp_path):
                 except Exception as exc:  # a bug: no exception may escape main
                     code = f"raised {exc!r}"
             out, err = capsys.readouterr()
-            outcome = (argv[0], argv[2:], rows, code, err[:120])
+            outcome = (argv[0], argv[1:], rows, code, err[:120])
             if caught:
                 failures.append((*outcome, [str(w.message) for w in caught]))
-            elif code not in (0, 2, 3, 4):
+            elif code not in (0, 2, 3, 4, 5):
                 failures.append(outcome)
+            elif code == 5:
+                if not (argv[0] == "adler-moser" and err.endswith("the tau parameters\n")):
+                    failures.append(outcome)
             elif code == 4:
-                refine_stopped = argv[0] == "refine" and json.loads(out)["converged"] is False
-                if not (refine_stopped or err.startswith("error: SVD did not converge")):
+                budgeted = argv[0] in ("refine", "pair-integral")
+                stopped = budgeted and json.loads(out)["converged"] is False
+                unbuilt = argv[0] == "adler-moser" and err.startswith(ADLER_MOSER_NONCONVERGENCE)
+                if not (stopped or unbuilt or err.startswith("error: SVD did not converge")):
                     failures.append(outcome)
             elif code != 0 and not err.startswith("error: "):
                 failures.append(outcome)

@@ -2,6 +2,7 @@ import functools
 import math
 import random
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -28,8 +29,8 @@ from vortexcorr.correlation import (
     _contour_A_eps,
     _extrapolate,
     _far_field_tail,
-    _frame,
     _pair_tail,
+    _shrink,
 )
 from vortexcorr.quadrature import integrate_excised_disk
 
@@ -225,13 +226,15 @@ def test_radius_far_beyond_the_configuration():
 def test_a_scale_beyond_two_to_the_500_is_rejected():
     # integrals come back by 4^-k, so the frame takes the diameter's binade
     # 2^k only for |k| <= 500: the collinear triple x1e155 and x1e-160 (k =
-    # 516 and -530) are rejected by every engine, naming the scale
+    # 516 and -530) are rejected by the default spec and by every engine,
+    # whose spec is built by hand, naming the scale
     base = collinear_triple()
     for s, k in ((1e155, 516), (1e-160, -530)):
         scaled = transform(base, Similarity(scale=s))
-        spec = default_quadrature_spec(scaled)
+        spec = QuadratureSpec(0.1 * s, 4.0 * s)
         runs = (
-            lambda: _default_limit(scaled),
+            lambda: default_quadrature_spec(scaled),
+            lambda: correlation_limit(scaled, default_epsilon_list(scaled)),
             lambda: correlation_A_eps(scaled, spec),
             lambda: pair_integral(0j, 2.0 * s, 0.1 * s, spec),
         )
@@ -284,6 +287,20 @@ def test_an_eps_too_small_for_the_2d_engine_is_rejected():
     pair = VortexConfiguration.from_pairs([(0j, 1.0), (1024.0, 1.0)])
     with pytest.raises(ValueError, match="2D integral at excision radius 1e-197 is not finite"):
         pair_integral(0j, 1024.0, 1e-197, default_quadrature_spec(pair))
+
+
+def test_a_2d_total_out_of_float_range_is_rejected():
+    # circulations of 1e90 carry the exact tail past the float range: the
+    # total with its tail is checked, not only the adaptive part, and the
+    # tail is formed without a numpy warning.  A budget below the starting
+    # mesh keeps the adaptive part cheap
+    config = VortexConfiguration.from_pairs([(0j, 1e90), (1.0, 1e90), (3j, -1e90)])
+    spec = QuadratureSpec(0.1, 8.0, 1e-5, max_cells=10)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="2D integral at excision radius 0.1 is not finite"):
+            correlation_A_eps(config, spec)
+    assert caught == []
 
 
 def test_a_limit_out_of_float_range_is_rejected():
@@ -642,6 +659,22 @@ def test_correlation_limit_takes_the_forces_once(monkeypatch):
     am3 = config_from_adler_moser(adler_moser_chain(3, [1.0, 1.0]))
     correlation_limit(am3, default_epsilon_list(am3))
     assert len(calls) == 1
+
+
+def test_correlation_limit_builds_no_configuration(monkeypatch):
+    # the contour form reads the configuration as given: its cached
+    # differences and forces, scaled by 2^-k and 2^k, with no translated copy
+    am3 = config_from_adler_moser(adler_moser_chain(3, [1.0, 1.0]))
+    built = []
+    validate = VortexConfiguration.__post_init__
+
+    def counted(config):
+        built.append(config)
+        validate(config)
+
+    monkeypatch.setattr(VortexConfiguration, "__post_init__", counted)
+    correlation_limit(am3, default_epsilon_list(am3))
+    assert built == []
 
 
 # ------------------------------------------ contour estimates against 2D
@@ -1012,4 +1045,4 @@ def test_default_radius_is_four_in_the_frame():
     for config in configs:
         spec = default_quadrature_spec(config)
         assert spec.cutoff_radius == math.ldexp(4.0, math.frexp(config.diameter)[1])
-        assert spec.cutoff_radius * _frame(config)[1] == 4.0
+        assert spec.cutoff_radius * _shrink(config) == 4.0
