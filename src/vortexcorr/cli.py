@@ -25,7 +25,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +41,6 @@ from .core import (
 from .correlation import (
     correlation_limit,
     default_epsilon_list,
-    default_quadrature_spec,
     moebius_params,
     pair_integral,
 )
@@ -54,7 +53,6 @@ from .equilibria import (
     config_from_adler_moser,
     refine_equilibrium,
 )
-from .quadrature import QuadratureSpec
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -237,10 +235,7 @@ def cmd_pair_integral(params: dict) -> tuple[dict, int]:
     p = _plane_point(params["p"], "--p")
     q = _plane_point(params["q"], "--q")
     eps = params["eps"]
-    pair = VortexConfiguration.from_pairs([(p, 1.0), (q, 1.0)])
-    target, max_cells = params["target_error"], params["max_cells"]
-    spec = replace(default_quadrature_spec(pair), target_abs_error=target, max_cells=max_cells)
-    result = pair_integral(p, q, eps, spec)
+    result = pair_integral(p, q, eps)
     mp = moebius_params(eps / abs(p - q))
     payload = {
         "p": _complex_dict(p),
@@ -255,7 +250,7 @@ def cmd_pair_integral(params: dict) -> tuple[dict, int]:
             "R2": mp.r2,
         },
     }
-    return payload, (EXIT_OK if result.converged else EXIT_NONCONVERGENCE)
+    return payload, EXIT_OK
 
 
 def cmd_adler_moser(params: dict) -> tuple[dict, int]:
@@ -365,8 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", required=True, help="first point as 'x,y'")
     p.add_argument("--q", required=True, help="second point as 'x,y'")
     p.add_argument("--eps", type=_positive_float, required=True)
-    p.add_argument("--target-error", type=_positive_float, default=1e-6)
-    p.add_argument("--max-cells", type=_positive_int, default=QuadratureSpec.max_cells)
     with_manifest(p)
 
     p = sub.add_parser("adler-moser", help="equilibrium from a polynomial chain")

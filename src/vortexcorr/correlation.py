@@ -30,25 +30,25 @@ caller's units by an exact power of two.  Each engine owns its rule on
 
 The pair kernel ``1/(conj(z-p)^2 (z-q)^2)`` integrates to zero over the
 plane minus eps-disks at ``p`` and ``q`` (the two-disk identity), which
-:func:`pair_integral` checks by quadrature in the pair's frame.  The
-kernel's exact tail beyond ``R`` also builds that of ``A_eps``, so ``R``
-moves no result beyond the quadrature's error; by default it is 4 in the
-frame.  :func:`moebius_params` exposes the fractional-linear map that
-turns the two-disk geometry into a round annulus.
+:func:`pair_integral` checks on the annulus that :func:`moebius_params`
+maps that domain to, with no truncation radius or cell.  The kernel's
+exact tail beyond ``R`` builds that of ``A_eps``, so ``R`` moves no 2D
+result beyond the quadrature's error; by default it is 4 in the frame.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .core import VortexConfiguration, forces
 from .rational import integrand_values
-from .quadrature import QuadratureResult, QuadratureSpec, _Misfit, integrate_excised_disk
+from .quadrature import _HIGH, _LOW, _NODES, _WEIGHTS, QuadratureResult, QuadratureSpec, _Misfit
+from .quadrature import integrate_excised_disk
 
 __all__ = [
     "MoebiusParams",
@@ -68,9 +68,9 @@ class MoebiusParams:
 
     For excision radius ``epsilon`` at the points 0 and 1, the map
     ``S(z) = (z - a)/(b - z)`` carries the plane minus the two disks onto
-    the annulus ``r1 < |w| < r2``; its inverse is
-    ``T(w) = (b w + a)/(1 + w)``.  The radii satisfy ``a b = epsilon^2``,
-    ``a + b = 1`` and ``r1 r2 = 1``.
+    the annulus ``r1 < |w| < r2``, where :func:`pair_integral` integrates;
+    its inverse is ``T(w) = (b w + a)/(1 + w)``, ``|T'(w)| = (b - a)/|1 +
+    w|^2``.  The radii satisfy ``a b = epsilon^2``, ``a + b = 1`` and ``r1 r2 = 1``.
     """
 
     epsilon: float
@@ -261,79 +261,53 @@ def _shrink(config: VortexConfiguration) -> float:
     return math.ldexp(1.0, -k)
 
 
-def _integrate(
-    config: VortexConfiguration,
-    spec: QuadratureSpec,
-    kernel: Callable[[VortexConfiguration, np.ndarray], np.ndarray],
-    tail: Callable[[VortexConfiguration, float], complex],
-) -> tuple[complex, float, complex, int, bool]:
-    """The one 2D entry: ``kernel(frame, z)`` over ``B_R`` minus the holes plus
-    ``tail(frame, R)`` in the frame ``w = (z - t) / 2^k``, ``2^-k`` from
-    :func:`_shrink` and ``t`` the centroid rounded to a multiple of ``2^k``,
-    so ``B_R`` is centred at ``t`` (``t = 0``, keeping the bits, within
-    ``2^(k-1)`` of the origin).  Eps and ``R`` move there by ``2^-k`` and the
-    target, which must stay a positive float, by ``4^k``.  Returns ``(value
-    with tail, error, tail, cells_used, converged)`` in the caller's units; a
-    misfit names the caller's lengths.  Near a tiny hole the kernel, and with
-    huge circulations the tail, overflow unwarned: a total that is not finite
-    is rejected, naming the caller's eps.
-    """
-    shrink = _shrink(config)
-    xy = np.array(config.positions).view(float).reshape(-1, 2)
-    xy = (xy - np.round(xy.mean(axis=0) * shrink) / shrink) * shrink
-    frame = VortexConfiguration.from_coordinates(
-        (x, y, d) for (x, y), d in zip(xy.tolist(), config.circulations)
-    )
-    eps, radius = spec.epsilon * shrink, spec.cutoff_radius * shrink
-    target = spec.target_abs_error / shrink / shrink
-    if not 0.0 < target < math.inf:
-        message = f"the coordinate scale 2**{math.frexp(config.diameter)[1]} puts the error"
-        raise ValueError(f"{message} target {spec.target_abs_error} out of floating-point range")
-    try:
-        with np.errstate(all="ignore"):
-            raw, err, cells, converged = integrate_excised_disk(
-                lambda zs: kernel(frame, zs), frame.positions, eps, radius, target, spec.max_cells
-            )
-            exact = tail(frame, radius)
-    except _Misfit as misfit:
-        template, *lengths = misfit.args
-        raise _Misfit(template, *(x / shrink for x in lengths)) from None
-    total, area = raw + exact, shrink * shrink
-    if not cmath.isfinite(total):
-        raise ValueError(f"the 2D integral at excision radius {spec.epsilon} is not finite")
-    return total * area, err * area, exact * area, cells, converged
-
-
 def pair_integral(
-    p: complex, q: complex, epsilon: float, spec: QuadratureSpec
+    p: complex, q: complex, epsilon: float, spec: QuadratureSpec | None = None
 ) -> QuadratureResult:
-    """Quadrature check of the two-disk identity for the pair kernel.
+    """The pair kernel ``1/(conj(z-p)^2 (z-q)^2)`` over the plane minus the
+    ``epsilon``-disks at ``p`` and ``q``, which is zero: the value (a
+    modulus) should not exceed the error.  Weighted by ``d_j^2 d_k^2`` it is
+    the cross term ``conj(T_j) T_k`` of ``A_eps``.
 
-    Integrates ``1/(conj(z-p)^2 (z-q)^2)`` over the disk of radius
-    ``spec.cutoff_radius`` about the pair midpoint minus the two
-    ``epsilon``-disks and adds the exact tail ``pi R^2 / (R^2 - conj(p) q)^2``
-    (about the midpoint), so the error estimate is the adaptive one alone.
-    It runs in the pair's power-of-two frame, so a pair of any size and
-    position is integrated like a unit one; an ``epsilon`` that leaves the
-    disks no room fails in quadrature, restated in the caller's units.  The
-    plane integral is zero, so the value -- the modulus of the corrected
-    complex estimate -- should not exceed the error estimate.  Weighted by
-    ``d_j^2 d_k^2`` it is the cross term ``conj(T_j) T_k`` of ``A_eps``.
+    For ``p = 0``, ``q = 1`` and ``epsilon / |p - q|``, the kernel at ``z =
+    T(w)`` of :class:`MoebiusParams` times ``|T'(w)|^2`` is integrated on the
+    annulus and scaled by ``|p - q|^-2`` through :func:`_shrink`.  The
+    reflection in the bisector, ``w -> 1/conj(w)``, swaps the disks and keeps
+    the kernel: twice the part on ``r1 < |w| < 1`` is taken, where every
+    factor is in range and ``z - q`` cancels nothing.  On ``|w| = r`` the
+    Fourier coefficients fall like ``(n - 1) (a / (b r))^(n - 2)``, and ``a /
+    (b r1) = r1``: the trapezoid rule in ``theta`` takes the least ``M`` nodes
+    with ``(M - 1) r1^(M - 2) <= 2^-53`` (Trefethen & Weideman, SIAM Rev. 56,
+    2014), times the 7- and 11-point Gauss rules in ``log r``.  The error is
+    an estimate: the rules' difference plus ``(M + 20) 2^-53`` times the
+    summed magnitudes.  No cell or tail enters; ``spec`` is ignored.  A ratio
+    ``epsilon / |p - q|`` below ``2^-1022`` (the kernel overflows) or above
+    0.4999 (``M`` passes 2,200) is rejected, naming it and the separation.
     """
-    mid = 0.5 * (complex(p) + complex(q))
-    pair = VortexConfiguration.from_pairs([(p - mid, 1.0), (q - mid, 1.0)])
-
-    def kernel(frame: VortexConfiguration, zs: np.ndarray) -> np.ndarray:
-        a, b = frame.positions
-        # the square of the reciprocal: the fourth-degree denominator itself
-        # overflows at |z| near 1e77
-        g = 1.0 / (np.conj(zs - a) * (zs - b))
-        return g * g
-
-    value, err, tail, cells, converged = _integrate(
-        pair, replace(spec, epsilon=epsilon), kernel, lambda f, r: _pair_tail(*f.positions, r)
-    )
-    return QuadratureResult(abs(value), err, tail.real, cells, converged)
+    pair = VortexConfiguration.from_pairs([(p, 1.0), (q, 1.0)])
+    shrink, sep = _shrink(pair), pair.diameter
+    if not 2.0**-1022 <= epsilon / sep <= 0.4999:
+        message = f"excision radius {epsilon} at separation {sep} is out of the annulus rule's"
+        raise ValueError(f"{message} range: their ratio must lie in [2**-1022, 0.4999]")
+    mp = moebius_params(epsilon / sep)
+    log_r1 = math.log(mp.r1)
+    # the least M with (M - 1) r1^(M - 2) <= 2^-53, a fixed point reached from below
+    nodes, least = 0, 3
+    while nodes < least:
+        nodes, least = least, 2 + math.ceil((53 * math.log(2) + math.log(least - 1)) / -log_r1)
+    # both Gauss rules' nodes on log r1 < log r < 0
+    r = np.exp(0.5 * log_r1 * (1.0 - _NODES))[:, None]
+    w = r * np.exp(2j * math.pi / nodes * np.arange(nodes))
+    z, modulus = mp.from_annulus(w), np.abs(1.0 + w)
+    # the kernel's square root times |T'| r, every factor in range
+    h = (mp.b - mp.a) / (np.conj(z) * (z - 1.0)) * (r / modulus) / modulus
+    rings = (h * h).mean(axis=1) * _WEIGHTS
+    high, low = complex(rings[_HIGH].sum()), complex(rings[_LOW].sum())
+    size = float((h.real**2 + h.imag**2).mean(axis=1) @ _WEIGHTS)
+    # 2 pi per circle, -log r1 / 2 per unit of the Gauss nodes, two halves, 1/|p - q|^2
+    factor = -2.0 * math.pi * log_r1 * (shrink / (sep * shrink)) ** 2
+    rounding = (nodes + 20) * 2.0**-53 * size
+    return QuadratureResult(abs(high) * factor, (abs(high - low) + rounding) * factor, 0.0, 0)
 
 
 def correlation_A_eps(
@@ -346,12 +320,45 @@ def correlation_A_eps(
     tail of :func:`_far_field_tail` (its leading term is
     ``pi * ((sum d_j)^4 - sum d_j^4) / R^2``), so the error estimate is the
     adaptive one alone.  A single vortex gives exactly zero without
-    quadrature.
+    quadrature.  The 2D engine runs in the frame ``w = (z - t) / 2^k``,
+    ``2^-k`` from :func:`_shrink` and ``t`` the centroid rounded to a
+    multiple of ``2^k`` (``t = 0``, keeping the bits, within ``2^(k-1)`` of
+    the origin), where ``B_R`` is centred.  Eps and ``R`` move there by
+    ``2^-k`` and the target by ``4^k``; one that leaves the positive floats
+    is rejected before any quadrature, naming the caller's value.  Near a
+    tiny hole the integrand, and with huge circulations the tail, overflow
+    unwarned: a total that is not finite is rejected, naming the caller's eps.
     """
     if len(config) == 1:
         return QuadratureResult(0.0, 0.0, 0.0, 0)
-    value, *rest = _integrate(config, spec, integrand_values, _far_field_tail)
-    return QuadratureResult(value.real, *rest)
+    shrink = _shrink(config)
+    xy = np.array(config.positions).view(float).reshape(-1, 2)
+    xy = (xy - np.round(xy.mean(axis=0) * shrink) / shrink) * shrink
+    frame = VortexConfiguration.from_coordinates(zip(*xy.T.tolist(), config.circulations))
+    eps, radius = spec.epsilon * shrink, spec.cutoff_radius * shrink
+    target = spec.target_abs_error / shrink / shrink
+    for name, given, framed in (
+        ("excision radius", spec.epsilon, eps),
+        ("cutoff radius", spec.cutoff_radius, radius),
+        ("error target", spec.target_abs_error, target),
+    ):
+        if not 0.0 < framed < math.inf:
+            message = f"the coordinate scale 2**{math.frexp(config.diameter)[1]} puts the"
+            raise ValueError(f"{message} {name} {given} out of floating-point range")
+    try:
+        with np.errstate(all="ignore"):
+            raw, err, cells, converged = integrate_excised_disk(
+                lambda zs: integrand_values(frame, zs), frame.positions, eps, radius, target,
+                spec.max_cells
+            )
+            tail = _far_field_tail(frame, radius)
+    except _Misfit as misfit:
+        template, *lengths = misfit.args
+        raise _Misfit(template, *(x / shrink for x in lengths)) from None
+    total, area = raw + tail, shrink * shrink
+    if not cmath.isfinite(total):
+        raise ValueError(f"the 2D integral at excision radius {spec.epsilon} is not finite")
+    return QuadratureResult((total * area).real, err * area, tail * area, cells, converged)
 
 
 @dataclass(frozen=True)

@@ -209,13 +209,15 @@ def test_correlation_csv_format(capsys, collinear_file):
 
 
 def test_correlation_has_no_quadrature_knobs(capsys, collinear_file):
-    # the limit comes from the contour form, which no error target or cell
-    # budget steers; pair-integral keeps both
-    for option in ("--target-error", "--max-cells"):
-        code, out, err = run_cli(capsys, "correlation", collinear_file, option, "10")
-        assert code == 2
-        assert f"unrecognized arguments: {option} 10" in err
-        assert out == ""
+    # the limit comes from the contour form and the pair integral from its
+    # annulus rule, which no error target or cell budget steers
+    pair = ["pair-integral", "--p", "0,0", "--q", "1,0", "--eps", "0.1"]
+    for argv in (["correlation", collinear_file], pair):
+        for option in ("--target-error", "--max-cells"):
+            code, out, err = run_cli(capsys, *argv, option, "10")
+            assert code == 2
+            assert f"unrecognized arguments: {option} 10" in err
+            assert out == ""
 
 
 def test_correlation_bad_eps_list(capsys, collinear_file):
@@ -240,10 +242,10 @@ def test_pair_integral_basic(capsys):
         "--p", "0,0",
         "--q", "1,0",
         "--eps", "0.1",
-        "--target-error", "1e-4",
     )
     assert code == 0
-    assert payload["value"] <= payload["abs_error_estimate"]
+    assert payload["value"] <= payload["abs_error_estimate"] <= 1e-11
+    assert (payload["cells_used"], payload["tail_correction"], payload["converged"]) == (0, 0, True)
     assert payload["moebius"]["R1"] < 1.0 < payload["moebius"]["R2"]
 
 
@@ -254,7 +256,6 @@ def test_pair_integral_moebius_block_closed_form(capsys):
         "--p", "0,0",
         "--q", "1,0",
         "--eps", "0.4",
-        "--target-error", "1e-3",
     )
     assert code == 0
     assert payload["moebius"]["a"] == pytest.approx(0.2, abs=1e-15)
@@ -264,46 +265,7 @@ def test_pair_integral_moebius_block_closed_form(capsys):
 def test_pair_integral_eps_too_large_exit_2(capsys):
     code, out, err = run_cli(capsys, "pair-integral", "--p", "0,0", "--q", "1,0", "--eps", "0.6")
     assert code == 2
-    assert "leaves no room for the cutoff" in err
-
-
-def test_pair_integral_budget_exhaustion_exit_4(capsys, tmp_path):
-    manifest = tmp_path / "run.json"
-    code, out, _ = run_cli(
-        capsys,
-        "pair-integral",
-        "--p", "0,0",
-        "--q", "1,0",
-        "--eps", "0.1",
-        "--target-error", "1e-9",
-        "--max-cells", "400",
-        "--manifest", str(manifest),
-    )
-    assert code == 4
-    payload = strict_loads(out)
-    assert strict_loads(manifest.read_text())["results"] == payload
-    assert payload["converged"] is False
-    assert payload["cells_used"] <= 400
-
-
-def test_pair_integral_budget_below_starting_mesh_exit_4(capsys, tmp_path):
-    manifest = tmp_path / "run.json"
-    code, out, err = run_cli(
-        capsys,
-        "pair-integral",
-        "--p", "0,0",
-        "--q", "1,0",
-        "--eps", "0.1",
-        "--max-cells", "10",
-        "--manifest", str(manifest),
-    )
-    assert code == 4
-    assert "Traceback" not in err
-    payload = strict_loads(out)
-    assert strict_loads(manifest.read_text())["results"] == payload
-    assert payload["converged"] is False
-    assert payload["cells_used"] <= 10
-    assert payload["abs_error_estimate"] is None
+    assert "excision radius 0.6 at separation 1.0 is out of the annulus rule's range" in err
 
 
 def test_pair_integral_infinite_point_exit_2(capsys):
@@ -825,7 +787,7 @@ def test_a_parse_leaves_the_parser_unchanged(capsys, collinear_file, tmp_path):
         ["replay", manifest],
         ["check", collinear_file, "--tol", "1e-3"],
         ["refine", collinear_file, "--free", "1", "--max-iter", "2"],
-        ["pair-integral", "--p", "0,0", "--q", "1,0", "--eps", "0.1", "--target-error", "1e-3"],
+        ["pair-integral", "--p", "0,0", "--q", "1,0", "--eps", "0.1"],
         ["check", collinear_file, "--tol", "-1"],
         ["correlation", "--help"],
     ):
@@ -1012,12 +974,18 @@ CONTRACT_CASES = {
         0,
         ["--eps-list", "1,1e-170,1e-180"],
     ),
-    # the 2D value is not finite at a tiny eps: a usage error, not a budget
+    # the annulus rule takes eps from 2^-1022 to 0.4999 of the separation
     "pair-integral-eps-1e-200": (
         "pair-integral",
         None,
-        2,
+        0,
         ["--p", "0,0", "--q", "1,0", "--eps", "1e-200"],
+    ),
+    "pair-integral-eps-near-half": (
+        "pair-integral",
+        None,
+        2,
+        ["--p", "0,0", "--q", "2,0", "--eps", "0.99999"],
     ),
     "pair-integral-scale-1e120": (
         "pair-integral",
@@ -1092,7 +1060,7 @@ CONTRACT_CASES = {
     ),
     "replay-pair-integral-infinite-point": (
         "pair-integral",
-        {"p": "inf,0", "q": "1,0", "eps": 0.1, "target_error": 1e-6, "max_cells": 2_000_000},
+        {"p": "inf,0", "q": "1,0", "eps": 0.1},
         2,
     ),
     # a file's text as it stands: malformed configurations and manifests
@@ -1184,7 +1152,8 @@ CONTRACT_MESSAGES = {
     "config-boolean-field": "vortex 0 has a non-numeric field",
     "config-numeric-string-field": "vortex 0 has a non-numeric field",
     "config-integer-out-of-range": "vortex 0 has a field out of floating-point range",
-    "pair-integral-eps-1e-200": "the 2D integral at excision radius 1e-200 is not finite",
+    "pair-integral-eps-near-half": "error: excision radius 0.99999 at separation 2.0 is out of "
+    "the annulus rule's range: their ratio must lie in [2**-1022, 0.4999]",
     "adler-moser-n20-chain-defect": "at step 7 exceeds 1e-10",
     "config-label-not-a-string": "'label' must be a string",
     "replay-not-a-manifest": "is not a run manifest",
@@ -1304,8 +1273,8 @@ def _fuzz_runs(rng, directory):
         f"--p={p}",
         f"--q={q}",
         f"--eps={10.0 ** eps_exponent(reach)!r}",
-        f"--max-cells={rng.randint(1, 1000)}",
     ]
+    rng.randint(1, 1000)  # the retired --max-cells, drawn to keep the seeded runs
     n = rng.randint(2, 7)
     taus = ",".join(repr(_fuzz_tau(rng)) for _ in range(n - 1))
     return rows, [
@@ -1332,7 +1301,7 @@ def test_seeded_extreme_inputs_keep_the_exit_code_contract(capsys, tmp_path):
     # pairs up to the float range's top and Adler-Moser parameters near
     # 10^+-300, subnormal or zero: every run exits with a documented code,
     # raises nothing and warns nothing, names its failure, exits 4 only from
-    # a budget or iteration limit that the report shows, a failed
+    # an iteration limit that refine's report shows, a failed
     # linear-algebra solve or a chain or root that misses its gate, and 5
     # only from a degenerate Adler-Moser construction
     rng = random.Random(7)
@@ -1358,8 +1327,7 @@ def test_seeded_extreme_inputs_keep_the_exit_code_contract(capsys, tmp_path):
                 if not (argv[0] == "adler-moser" and err.endswith("the tau parameters\n")):
                     failures.append(outcome)
             elif code == 4:
-                budgeted = argv[0] in ("refine", "pair-integral")
-                stopped = budgeted and json.loads(out)["converged"] is False
+                stopped = argv[0] == "refine" and json.loads(out)["converged"] is False
                 unbuilt = argv[0] == "adler-moser" and err.startswith(ADLER_MOSER_NONCONVERGENCE)
                 if not (stopped or unbuilt or err.startswith("error: SVD did not converge")):
                     failures.append(outcome)

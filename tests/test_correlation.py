@@ -1,3 +1,4 @@
+import cmath
 import functools
 import math
 import random
@@ -80,11 +81,16 @@ def test_moebius_round_trip(rng):
 
 
 def test_moebius_maps_boundaries():
-    eps = 0.2
-    mp = moebius_params(eps)
-    # the boundary circles land on the annulus radii
-    assert abs(mp.to_annulus(eps)) == pytest.approx(mp.r1, rel=1e-13)
-    assert abs(mp.to_annulus(1.0 - eps)) == pytest.approx(mp.r2, rel=1e-13)
+    # the annulus radii land on the two eps-circles and back, all the way
+    # round: pair_integral's domain is the image of r1 < |w| < r2
+    w = np.exp(2j * np.pi * np.arange(64) / 64)
+    for eps in (0.45, 0.3, 0.2, 0.1, 0.01):
+        mp = moebius_params(eps)
+        for radius, centre in ((mp.r1, 0.0), (mp.r2, 1.0)):
+            z = mp.from_annulus(radius * w)
+            assert np.abs(np.abs(z - centre) - eps).max() <= 1e-13 * eps
+        assert abs(mp.to_annulus(eps)) == pytest.approx(mp.r1, rel=1e-13)
+        assert abs(mp.to_annulus(1.0 - eps)) == pytest.approx(mp.r2, rel=1e-13)
 
 
 def test_moebius_domain_errors():
@@ -97,11 +103,18 @@ def test_moebius_domain_errors():
 
 
 def test_pair_integral_vanishes():
-    spec = QuadratureSpec(epsilon=0.1, cutoff_radius=100.0, target_abs_error=1e-5)
-    result = pair_integral(0.0, 1.0, 0.1, spec)
-    assert result.converged
-    assert result.value <= result.abs_error_estimate
-    assert result.value < 1e-5
+    # on the annulus the two-disk identity holds to rounding: |I| is far
+    # below 1e-13 |p - q|^-2, and within the reported error, which the spec
+    # does not steer.  No cell or tail enters
+    for p, q in ((0.0, 1.0), (0.3 - 0.2j, -1.7 + 2.4j)):
+        sep2 = abs(q - p) ** 2
+        for ratio in (0.45, 0.2, 0.1, 0.05, 0.01):
+            result = pair_integral(p, q, ratio * abs(q - p))
+            assert result.value * sep2 <= 1e-13
+            assert result.value <= result.abs_error_estimate <= 1e-11 / sep2
+            assert (result.tail_correction, result.cells_used, result.converged) == (0.0, 0, True)
+            spec = QuadratureSpec(1.0, 2.0, target_abs_error=1e-300, max_cells=1)
+            assert pair_integral(p, q, ratio * abs(q - p), spec) == result
 
 
 def test_pair_integral_homothety():
@@ -113,18 +126,49 @@ def test_pair_integral_homothety():
 
 def test_pair_integral_preconditions():
     spec = QuadratureSpec(epsilon=0.6, cutoff_radius=100.0)
-    with pytest.raises(ValueError, match="leaves no room for the cutoff"):
+    message = "excision radius 0.6 at separation 1.0 is out of the annulus rule's range"
+    with pytest.raises(ValueError, match=message):
         pair_integral(0.0, 1.0, 0.6, spec)
 
 
 def test_pair_integral_reports_the_callers_units():
-    # a pair 1000 apart runs in a frame 1024 times smaller; the message
-    # restates the caller's lengths
+    # a pair 1000 apart runs in the unit pair frame; the message names the
+    # caller's eps and separation
     spec = QuadratureSpec(600.0, 50_000.0)
-    with pytest.raises(ValueError, match="leaves no room for the cutoff") as caught:
+    message = "excision radius 600.0 at separation 1000.0 is out of the annulus rule's range"
+    with pytest.raises(ValueError, match=message) as caught:
         pair_integral(0.0, 1000.0, 600.0, spec)
-    assert "600" in str(caught.value) and "1000" in str(caught.value)
     assert "integration frame" not in str(caught.value)
+
+
+def test_pair_integral_over_its_whole_range():
+    # every eps below half the separation, at every scale that _shrink takes,
+    # gives a finite |I| within its error or a ValueError naming the eps and
+    # the separation, and never a numpy warning.  The rule takes the ratios
+    # eps / |p - q| in [2^-1022, 0.4999]
+    inside = [1e-300, 1e-200, 1e-100, 1e-20, 1e-6, 0.3, 0.49, 0.499, 0.49989]
+    outside = [2.0**-1074, 1e-310, 0.49991, 0.4999999, 0.5 - 2.0**-54]
+    for k in (-500, -300, -1, 0, 1, 300, 500):
+        for length in (0.5, 0.75, 0.99):
+            p = 3.0 * 2.0**k * (1 + 1j)
+            q = (3.0 * (1 + 1j) + length * cmath.exp(0.4j)) * 2.0**k
+            sep = abs(q - p)
+            for ratio in inside + [2.0**-1022] + outside:
+                eps = ratio * sep
+                if not eps > 0.0:
+                    continue
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    try:
+                        result = pair_integral(p, q, eps)
+                    except ValueError as exc:
+                        assert ratio not in inside
+                        assert f"excision radius {eps} at separation {sep} is out of" in str(exc)
+                    else:
+                        assert ratio not in outside
+                        assert math.isfinite(result.abs_error_estimate)
+                        assert result.value <= result.abs_error_estimate
+                assert caught == []
 
 
 def test_pair_tail_is_exact_on_an_annulus():
@@ -278,15 +322,29 @@ def test_huge_circulations_meet_the_contour_bound_before_alpha():
 
 
 def test_an_eps_too_small_for_the_2d_engine_is_rejected():
-    # at tiny eps the kernels overflow near the holes: the 2D value is not
-    # finite, and the misfit names the caller's eps without a numpy warning
+    # at tiny eps the integrand overflows near the holes: the 2D value is not
+    # finite, and the misfit names the caller's eps without a numpy warning.
+    # The pair integral, on its annulus, takes such an eps
     config = collinear_triple()
     spec = default_quadrature_spec(config)
     with pytest.raises(ValueError, match="2D integral at excision radius 1e-80 is not finite"):
         correlation_A_eps(config, replace(spec, epsilon=1e-80))
-    pair = VortexConfiguration.from_pairs([(0j, 1.0), (1024.0, 1.0)])
-    with pytest.raises(ValueError, match="2D integral at excision radius 1e-197 is not finite"):
-        pair_integral(0j, 1024.0, 1e-197, default_quadrature_spec(pair))
+    result = pair_integral(0j, 1024.0, 1e-197)
+    assert result.value <= result.abs_error_estimate < 1e-15
+
+
+def test_a_framed_eps_out_of_range_names_the_callers_eps():
+    # the 2D engine moves eps into the frame by 2^-k: at scale 1e-20 eps =
+    # 2.7e289 overflows there, and at 1e148 eps = 8.4e-285 underflows.  Both
+    # are rejected before any quadrature, naming the caller's eps and not
+    # the frame's inf or 0
+    base = collinear_triple()
+    for s, eps, k in ((1e-20, 2.7e289, -65), (1e148, 8.4e-285, 493)):
+        scaled = transform(base, Similarity(scale=s))
+        spec = replace(default_quadrature_spec(scaled), epsilon=eps)
+        message = f"the coordinate scale 2**{k} puts the excision radius {eps} out of"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            correlation_A_eps(scaled, spec)
 
 
 def test_a_2d_total_out_of_float_range_is_rejected():

@@ -6,7 +6,7 @@ import pytest
 
 import vortexcorr.correlation as correlation
 from vortexcorr.core import VortexConfiguration
-from vortexcorr.correlation import correlation_A_eps, default_quadrature_spec, pair_integral
+from vortexcorr.correlation import _pair_tail, correlation_A_eps, default_quadrature_spec
 from vortexcorr.quadrature import (
     QuadratureResult,
     QuadratureSpec,
@@ -281,18 +281,21 @@ def test_bit_exact_golden_values():
         True,
     )
 
-    res = pair_integral(
-        0.2j,
-        1.0 + 0.5j,
-        0.1,
-        QuadratureSpec(epsilon=0.1, cutoff_radius=20.0, target_abs_error=1e-4),
+    # the pair kernel of 0.2j and 1 + 0.5j at eps = 0.1, R = 20 and target 1e-4
+    # in the pair's power-of-two frame: midpoint at the origin, lengths halved
+    # (the separation's binade is 2) and the target quadrupled; the exact
+    # tail is added and the result scaled back by a quarter
+    a, b = _framed_pair(0.2j, 1.0 + 0.5j, 0.5)
+    value, err, cells, converged = integrate_excised_disk(
+        _pair_kernel(a, b), [a, b], 0.05, 10.0, 4e-4, 2_000_000
     )
+    tail = _pair_tail(a, b, 10.0)
     assert (
-        res.value.hex(),
-        res.abs_error_estimate.hex(),
-        res.tail_correction.hex(),
-        res.cells_used,
-        res.converged,
+        abs((value + tail) * 0.25).hex(),
+        (err * 0.25).hex(),
+        (tail * 0.25).real.hex(),
+        cells,
+        converged,
     ) == (
         "0x1.0988339740000p-23",
         "0x1.9f62188589d7dp-16",
@@ -300,6 +303,23 @@ def test_bit_exact_golden_values():
         144,
         True,
     )
+
+
+def _framed_pair(p, q, shrink):
+    """``p`` and ``q`` about their midpoint, scaled by ``shrink``."""
+    mid = 0.5 * (p + q)
+    return (p - mid) * shrink, (q - mid) * shrink
+
+
+def _pair_kernel(a, b):
+    """``1/(conj(z-a)^2 (z-b)^2)``, squared from the reciprocal: the quartic
+    denominator itself overflows at ``|z|`` near 1e77."""
+
+    def kernel(zs):
+        g = 1.0 / (np.conj(zs - a) * (zs - b))
+        return g * g
+
+    return kernel
 
 
 # the non-equilibrium triple of the benchmark's corr-small workload
@@ -356,11 +376,19 @@ def f_calls(monkeypatch):
 
 
 def test_starting_mesh_goes_to_f_in_round_sized_batches(f_calls):
-    # one ring per call took 19 calls for the pair and 20-21 for A_eps; runs
-    # of up to 32 cells take 8 and 9 with the same cells and bits
-    spec = QuadratureSpec(epsilon=0.1, cutoff_radius=100.0, target_abs_error=1e-6)
-    res = pair_integral(0j, cmath.exp(0.7j), 0.1, spec)
-    assert res.converged and len(f_calls) == 8
+    # one ring per call took 19 calls for the pair kernel and 20-21 for A_eps;
+    # runs of up to 32 cells take 8 and 9 with the same cells and bits.  The
+    # pair of 0 and exp(0.7i) at eps = 0.1, R = 100 and target 1e-6, in the
+    # pair's power-of-two frame (the separation's binade is 2)
+    a, b = _framed_pair(0j, cmath.exp(0.7j), 0.5)
+    kernel = _pair_kernel(a, b)
+
+    def counted(zs):
+        f_calls.append(zs.size)
+        return kernel(zs)
+
+    *_, converged = integrate_excised_disk(counted, [a, b], 0.05, 50.0, 4e-6, 2_000_000)
+    assert converged and len(f_calls) == 8
     f_calls.clear()
     res = correlation_A_eps(MOVED_TRIPLE, default_quadrature_spec(MOVED_TRIPLE))
     assert res.converged and len(f_calls) == 9
